@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-json bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 bench-parallel bench-alloc benchstat golden
+.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-compare bench-parallel bench-alloc benchstat golden
 
 check: vet build test race
 
@@ -32,7 +32,6 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzBindRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bind -run '^$$' -fuzz '^FuzzEvaluatorDifferential$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/bind -run '^$$' -fuzz '^FuzzDeltaEvaluatorDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codegen -run '^$$' -fuzz '^FuzzSpillRebind$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzTextioRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textio -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -110,97 +109,40 @@ explore-smoke:
 	$(GO) test ./cmd/explore -run 'TestJSONOutput|TestExploreObsSmoke|TestPrunedAndParallelMatchSequential' -count 1
 	$(GO) test ./internal/explore -run 'TestFrontierMatchesBruteForce|TestDeterministicAcrossPar|TestOptimisticIsLowerBound' -count 1
 
-# Regenerate the paper's tables as benchmarks (L/M metrics per row) and
-# refresh the committed perf-trajectory file. The trajectory runs the
-# key delta-evaluation benchmarks — the per-candidate pair in
-# internal/problem and the full B-ITER on/off pairs in internal/bind —
-# and distills their medians into the benchstat-compatible
-# BENCH_pr6.json (see cmd/benchjson), gated on the PR's acceptance
-# floor: ≥3x per-candidate speedup on the delta-hit path and zero
-# allocs/op on it. CI checks the file is present and non-empty.
-BENCHCOUNT ?= 6
-bench: bench-json bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10
-	$(GO) test -bench=. -benchmem
+# The benchmark: cmd/vbench, specified by BENCHMARK.json. `make bench`
+# runs every workload once (20 s of timed load each, seeded by
+# BENCH_SEED; re-check a claim on a seed nobody tuned for) and leaves
+# one ledger per workload under .bench_build/vbench/. `make bench-compare OLD=dir NEW=dir` compares two
+# directories of such ledgers against the bounds in BENCHMARK.json and
+# fails when an end-to-end metric got worse; give each side at least
+# three runs (see cmd/vbench/README.md). OLD and NEW may be globs over
+# one directory per run, e.g. OLD='old/run*'.
+BENCH_SEED ?= 1
+bench:
+	@set -e; for w in bind-paper bind-random serve-mix explore-sweep; do \
+		bash cmd/vbench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 20 --trace 0; \
+	done
 
-bench-json:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr6.txt
-	$(GO) test ./internal/bind -run '^$$' -bench 'BenchmarkBITER' -benchmem -benchtime 3x -count 3 >> /tmp/vliwbind-bench-pr6.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr6.json \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
-		/tmp/vliwbind-bench-pr6.txt
-	@echo "wrote BENCH_pr6.json"
-
-# Route-aware interconnect trajectory. Re-runs the shared-bus
-# delta-hit/full pair on the refactored evaluator — the pr6 gate passing
-# again on the new code is the no-regression proof against
-# BENCH_pr6.json (benchjson gates are within-file ratios, so the
-# cross-PR comparison is expressed by re-asserting the same floor) —
-# and adds the routed-topology evaluation benchmarks, which must stay
-# allocation-free like the shared-bus path.
-bench-json-pr7:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed|Virtual|Ring|P2P)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr7.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr7.json \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
-		-zero 'BenchmarkEvaluateRing' \
-		-zero 'BenchmarkEvaluateP2P' \
-		/tmp/vliwbind-bench-pr7.txt
-	@echo "wrote BENCH_pr7.json"
-
-# Result-store trajectory. Re-asserts the pr6/pr7 delta-evaluation floor
-# on the current code (benchjson gates are within-file ratios, so the
-# cross-PR no-regression claim is the same floor passing again), then
-# gates the store itself: a served hit must be at least 8x cheaper than
-# a cold bind on the same kernel (measured ~24x), and the raw lookup on
-# a resident entry must be allocation-free.
-bench-json-pr8:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate(DeltaHit|FullPerturbed)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr8.txt
-	$(GO) test ./internal/store -run '^$$' -bench 'BenchmarkCanonicalize$$|BenchmarkStore(ResultKey|Lookup)$$' -benchmem -count $(BENCHCOUNT) >> /tmp/vliwbind-bench-pr8.txt
-	$(GO) test . -run '^$$' -bench 'BenchmarkStore(ColdBind|Hit)$$' -benchmem -count $(BENCHCOUNT) >> /tmp/vliwbind-bench-pr8.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr8.json \
-		-gate 'BenchmarkStoreColdBind/BenchmarkStoreHit>=8.0' \
-		-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0' \
-		-zero 'BenchmarkStoreLookup' \
-		-zero 'BenchmarkEvaluateDeltaHit' \
-		/tmp/vliwbind-bench-pr8.txt
-	@echo "wrote BENCH_pr8.json"
-
-# Served-latency trajectory for the daemon. Gates the whole HTTP stack
-# (decode, admission, store lookup, audit-on-read, response-time audit,
-# encode): a request answered from the warm cross-request store must be
-# at least 4x cheaper than the same request cold-bound per call
-# (measured ~12x). The pr8 floor covered the store seam in isolation;
-# this one proves it still pays off behind vliwbindd's front door.
-bench-json-pr9:
-	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServe(Hit|ColdBind)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr9.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr9.json \
-		-gate 'BenchmarkServeColdBind/BenchmarkServeHit>=4.0' \
-		/tmp/vliwbind-bench-pr9.txt
-	@echo "wrote BENCH_pr9.json"
-
-# Design-space-exploration trajectory. Gates the explorer's pruning:
-# the pruned, pool-parallel sweep of a 6-point space (half of it
-# provably dominated before any search) must finish at least 1.5x
-# faster than the sequential unpruned sweep of the same space while
-# producing bit-identical surviving rows (pinned by
-# TestPrunedAndParallelMatchSequential, run in explore-smoke).
-bench-json-pr10:
-	$(GO) test ./internal/explore -run '^$$' -bench 'BenchmarkExplore(SequentialUnpruned|PrunedPar)$$' -benchmem -count $(BENCHCOUNT) > /tmp/vliwbind-bench-pr10.txt
-	$(GO) run ./cmd/benchjson -o BENCH_pr10.json \
-		-gate 'BenchmarkExploreSequentialUnpruned/BenchmarkExplorePrunedPar>=1.5' \
-		/tmp/vliwbind-bench-pr10.txt
-	@echo "wrote BENCH_pr10.json"
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=dir NEW=dir"; exit 2; }
+	bash cmd/vbench/run.sh -compare $(OLD)/*.json -- $(NEW)/*.json
 
 # Sequential-vs-parallel engine comparison on the largest kernel.
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 3x .
 
-# Allocation comparison: materialized bind.Evaluate vs problem.Evaluator
-# on the largest kernel (DCT-DIT-2). The virtual path must stay at least
-# 5x leaner in allocs/op.
+# Allocation gate: materialized bind.Evaluate vs problem.Evaluator on
+# the largest kernel (DCT-DIT-2), plus the routed-interconnect
+# evaluations. cmd/benchjson distills the runs and fails the target
+# unless the Evaluator's median allocs/op is zero on the shared bus, the
+# ring and point-to-point links.
 bench-alloc:
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate' -benchmem
+	@mkdir -p .bench_build
+	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate' -benchmem -count 3 > .bench_build/bench-alloc.txt
+	@grep -E '^Benchmark' .bench_build/bench-alloc.txt
+	$(GO) run ./cmd/benchjson -o .bench_build/bench-alloc.json \
+		-zero BenchmarkEvaluateVirtual -zero BenchmarkEvaluateRing -zero BenchmarkEvaluateP2P \
+		.bench_build/bench-alloc.txt
 
 # Statistical comparison of the two evaluation paths. Needs the benchstat
 # tool on PATH (golang.org/x/perf/cmd/benchstat); falls back to printing

@@ -1,25 +1,26 @@
-// Command benchjson distills `go test -bench` output into the
-// benchstat-compatible perf-trajectory file committed per PR
-// (BENCH_pr6.json and successors). It parses one or more bench-output
-// files (stdin when none are given), aggregates repeated -count runs
-// into per-benchmark medians, and writes a single JSON document that
-// keeps the raw benchmark lines verbatim — so
+// Command benchjson distills `go test -bench` output into one
+// benchstat-compatible JSON document and gates it. It parses one or
+// more bench-output files (stdin when none are given), aggregates
+// repeated -count runs into per-benchmark medians, and writes a single
+// JSON document that keeps the raw benchmark lines verbatim — so
 //
-//	jq -r '.lines[]' BENCH_pr6.json | benchstat /dev/stdin
+//	jq -r '.lines[]' out.json | benchstat /dev/stdin
 //
 // reconstructs input benchstat accepts, while the medians stay
-// greppable without any tooling.
+// greppable without any tooling. The committed BENCH_pr*.json files
+// are its output from earlier changes, kept as history.
 //
-// Gates turn the file into a regression tripwire:
+// Gates turn the document into a regression tripwire:
 //
-//	-gate 'BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0'
-//	-zero 'BenchmarkEvaluateDeltaHit'
+//	-gate 'BenchmarkEvaluateMaterialized/BenchmarkEvaluateVirtual>=5.0'
+//	-zero 'BenchmarkEvaluateVirtual'
 //
 // -gate requires the ratio of two benchmarks' median ns/op to meet a
 // floor; -zero requires a benchmark's median allocs/op to be exactly
 // zero. Both are evaluated after the JSON is written (the file records
-// each verdict), and any failure exits nonzero so `make bench` fails
-// loudly instead of committing a regressed trajectory.
+// each verdict), and any failure exits nonzero, so `make bench-alloc`
+// fails loudly when the scoring hot path starts allocating. Gates are
+// within-file: comparing two commits is `vbench -compare`'s job.
 package main
 
 import (
@@ -43,7 +44,7 @@ type sample struct {
 }
 
 // Benchmark is the aggregated (median) result of one benchmark across
-// repeated -count runs, as serialized into the trajectory file.
+// repeated -count runs, as serialized into the output document.
 type Benchmark struct {
 	Name        string  `json:"name"` // GOMAXPROCS suffix stripped
 	Runs        int     `json:"runs"`
@@ -60,7 +61,7 @@ type Gate struct {
 	Pass  bool    `json:"pass"`
 }
 
-// Report is the whole trajectory file.
+// Report is the whole output document.
 type Report struct {
 	Format     string      `json:"format"`
 	Benchmarks []Benchmark `json:"benchmarks"`

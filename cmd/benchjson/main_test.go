@@ -9,11 +9,11 @@ const benchOut = `goos: linux
 goarch: amd64
 pkg: vliwbind/internal/problem
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkEvaluateDeltaHit-8   	   68648	     17000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEvaluateDeltaHit-8   	   70000	     19000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEvaluateDeltaHit-8   	   69000	     17500 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEvaluateFullPerturbed-8 	   22000	     52000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEvaluateFullPerturbed-8 	   21000	     54000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEvaluateVirtual-8   	   68648	     17000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEvaluateVirtual-8   	   70000	     19000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEvaluateVirtual-8   	   69000	     17500 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEvaluateMaterialized-8 	   22000	     52000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkEvaluateMaterialized-8 	   21000	     54000 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	vliwbind/internal/problem	12.3s
 `
@@ -34,8 +34,8 @@ func TestBuildMediansAndLines(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	hit := rep.Benchmarks[0]
-	if hit.Name != "BenchmarkEvaluateDeltaHit" {
-		t.Errorf("first benchmark %q, want BenchmarkEvaluateDeltaHit (input order)", hit.Name)
+	if hit.Name != "BenchmarkEvaluateVirtual" {
+		t.Errorf("first benchmark %q, want BenchmarkEvaluateVirtual (input order)", hit.Name)
 	}
 	if hit.Runs != 3 {
 		t.Errorf("Runs = %d, want 3", hit.Runs)
@@ -72,10 +72,10 @@ func TestBuildRejectsEmptyInput(t *testing.T) {
 
 func TestBaseNameStripsOnlyProcSuffix(t *testing.T) {
 	cases := map[string]string{
-		"BenchmarkEvaluateDeltaHit-8": "BenchmarkEvaluateDeltaHit",
-		"BenchmarkEvaluateDeltaHit":   "BenchmarkEvaluateDeltaHit",
-		"BenchmarkDCT-DIT-2-16":       "BenchmarkDCT-DIT-2",
-		"BenchmarkDCT-DIT":            "BenchmarkDCT-DIT", // DIT is not an int
+		"BenchmarkEvaluateVirtual-8": "BenchmarkEvaluateVirtual",
+		"BenchmarkEvaluateVirtual":   "BenchmarkEvaluateVirtual",
+		"BenchmarkDCT-DIT-2-16":      "BenchmarkDCT-DIT-2",
+		"BenchmarkDCT-DIT":           "BenchmarkDCT-DIT", // DIT is not an int
 	}
 	for in, want := range cases {
 		if got := baseName(in); got != want {
@@ -88,7 +88,7 @@ func TestRatioGatePassAndFail(t *testing.T) {
 	rep := mustBuild(t, benchOut) // ratio = 53000/17500 ≈ 3.03
 
 	failed, err := applyGates(rep,
-		[]string{"BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=3.0"}, nil)
+		[]string{"BenchmarkEvaluateMaterialized/BenchmarkEvaluateVirtual>=3.0"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRatioGatePassAndFail(t *testing.T) {
 
 	rep = mustBuild(t, benchOut)
 	failed, err = applyGates(rep,
-		[]string{"BenchmarkEvaluateFullPerturbed/BenchmarkEvaluateDeltaHit>=10"}, nil)
+		[]string{"BenchmarkEvaluateMaterialized/BenchmarkEvaluateVirtual>=10"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRatioGatePassAndFail(t *testing.T) {
 
 func TestZeroAllocGate(t *testing.T) {
 	rep := mustBuild(t, benchOut)
-	failed, err := applyGates(rep, nil, []string{"BenchmarkEvaluateDeltaHit"})
+	failed, err := applyGates(rep, nil, []string{"BenchmarkEvaluateVirtual"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +147,12 @@ func TestZeroAllocGate(t *testing.T) {
 // gate.
 func TestGateErrors(t *testing.T) {
 	rep := mustBuild(t, benchOut)
-	if _, err := applyGates(rep, []string{"BenchmarkNope/BenchmarkEvaluateDeltaHit>=1"}, nil); err == nil {
+	if _, err := applyGates(rep, []string{"BenchmarkNope/BenchmarkEvaluateVirtual>=1"}, nil); err == nil {
 		t.Error("gate on unknown numerator did not error")
 	} else if !strings.Contains(err.Error(), "BenchmarkNope") {
 		t.Errorf("numerator error %q does not name the missing benchmark", err)
 	}
-	if _, err := applyGates(rep, []string{"BenchmarkEvaluateDeltaHit/BenchmarkNope>=1"}, nil); err == nil {
+	if _, err := applyGates(rep, []string{"BenchmarkEvaluateVirtual/BenchmarkNope>=1"}, nil); err == nil {
 		t.Error("gate on unknown denominator did not error")
 	}
 	if _, err := applyGates(rep, []string{"garbage"}, nil); err == nil {

@@ -235,10 +235,6 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 		fmt.Fprintf(w, "evaluation cache: %d scheduled, %d served from cache (%.0f%% hit rate)\n",
 			ms, h, 100*float64(h)/float64(h+ms))
 	}
-	if dh, df := cstats.DeltaHits(), cstats.DeltaFallbacks(); dh+df > 0 {
-		fmt.Fprintf(w, "delta evaluation: %d incremental, %d full fallbacks (%.0f%% delta rate)\n",
-			dh, df, 100*float64(dh)/float64(dh+df))
-	}
 	if resStore != nil {
 		fmt.Fprintf(w, "result store: %d hit(s), %d miss(es), %d eviction(s)\n",
 			cstats.StoreHits(), cstats.StoreMisses(), cstats.StoreEvicts())

@@ -48,7 +48,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	kernelMix := fs.String("kernels", "ARF,EWF,FFT", "comma-separated kernel mix, replayed round-robin")
 	dp := fs.String("dp", "[2,1|2,1]", "datapath spec sent with every job")
 	deadlineMS := fs.Int("deadline-ms", 10000, "per-request deadline")
-	forceDegraded := fs.Bool("force-degraded", false, "include one DCT-DIT-2 job with a 60ms budget (a guaranteed degraded answer)")
+	forceDegraded := fs.Bool("force-degraded", false, "include one DCT-DIT-2 job on six single-ALU clusters with a 60ms budget (a guaranteed degraded answer)")
 	forceRejected := fs.Bool("force-rejected", false, "include one job with a 1ms deadline (a guaranteed rejection)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,7 +70,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		jobs = append(jobs, fmt.Sprintf(`{"kernel":%q,"dp":%q,"deadline_ms":%d}`, k, *dp, *deadlineMS))
 	}
 	if *forceDegraded && len(jobs) > 0 {
-		jobs[0] = fmt.Sprintf(`{"kernel":"DCT-DIT-2","dp":%q,"deadline_ms":20000,"budget_ms":60}`, *dp)
+		// A fixed machine, not -dp: the job must outlast its budget, and
+		// B-ITER on six clusters runs well past 60ms while its B-INIT
+		// floor takes a few.
+		jobs[0] = `{"kernel":"DCT-DIT-2","dp":"[1,1|1,1|1,1|1,1|1,1|1,1]","deadline_ms":20000,"budget_ms":60}`
 	}
 	if *forceRejected {
 		slot := len(jobs) - 1

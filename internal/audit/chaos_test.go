@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"vliwbind/internal/audit"
@@ -26,10 +25,8 @@ import (
 
 // chaosPoints are the engine seams the injector arms: every hook the
 // binding stack publishes, so fault schedules cover the worker pool,
-// the sweep, the improvement loop, all three cache seams, and both
-// incremental-evaluation seams (snapshot capture and the delta compute
-// itself — the chaos options force delta on so they actually fire on
-// these small kernels).
+// the sweep, the improvement loop, the evaluation itself and all three
+// cache seams.
 var chaosPoints = []string{
 	bind.HookPoolTask,
 	bind.HookSweepConfig,
@@ -38,8 +35,6 @@ var chaosPoints = []string{
 	bind.HookCompute,
 	bind.HookCacheLookup,
 	bind.HookCacheInsert,
-	bind.HookDeltaSnapshot,
-	bind.HookDeltaCompute,
 }
 
 // worseLM reports whether a is lexicographically worse than b in
@@ -128,7 +123,7 @@ func TestChaosSweep(t *testing.T) {
 					defer cancel(nil)
 					inj := faultinject.Seeded(seed, chaosPoints, 5).OnCancel(cancel)
 					res, err := bind.BindContext(ctx, gc.g, dp,
-						bind.Options{Parallelism: 4, ForceDelta: true, Hook: inj.At})
+						bind.Options{Parallelism: 4, Hook: inj.At})
 					checkChaosOutcome(t, res, err, ref, floor)
 				})
 			}
@@ -182,7 +177,7 @@ func FuzzCancelAnytime(f *testing.F) {
 		defer cancel(nil)
 		inj := faultinject.New(faults...).OnCancel(cancel)
 		res, err := bind.BindContext(ctx, g, dp,
-			bind.Options{Parallelism: 2, ForceDelta: true, Hook: inj.At})
+			bind.Options{Parallelism: 2, Hook: inj.At})
 		if err != nil {
 			var pe *bind.PanicError
 			if !errors.Is(err, faultinject.ErrInjectedCancel) && !errors.As(err, &pe) {
@@ -201,124 +196,4 @@ func FuzzCancelAnytime(f *testing.F) {
 				res.L(), res.Moves(), floor.L(), floor.Moves())
 		}
 	})
-}
-
-// TestDeltaChaosSeams is the directed regression for fault/cancel
-// interaction with incremental evaluation, pinning each delta seam's
-// failure mode separately (the seeded sweep above mixes them):
-//
-//   - A panic during snapshot capture must only disarm the delta path —
-//     the run completes through full evaluation, bit-identical to the
-//     clean reference, never degraded.
-//   - A panic mid-delta-compute is transient: the engine discards the
-//     partial cone recompute with the faulted task, retries on fresh
-//     evaluator scratch, and still completes bit-identically.
-//   - A cancellation mid-delta-compute discards the partial round and
-//     degrades to the anytime incumbent: audit-clean and never below
-//     the B-INIT floor.
-//
-// Each case asserts its seam actually fired, so the test cannot pass
-// vacuously, and the whole test runs under the goroutine leak checker.
-func TestDeltaChaosSeams(t *testing.T) {
-	leakcheck.Check(t)
-	g := fuzzGraph(t, 0, 0) // ARF
-	dp, err := machine.Parse("[2,1|1,1]", machine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := bind.Options{Parallelism: 4, ForceDelta: true}
-	ref, err := bind.Bind(g, dp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	floor, err := bind.Initial(g, dp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	identical := func(t *testing.T, res *bind.Result, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("run errored: %v", err)
-		}
-		if res.Degraded {
-			t.Fatal("run degraded; the fault should have been absorbed")
-		}
-		if err := audit.Audit(res); err != nil {
-			t.Fatalf("faulted run produced an unauditable binding: %v", err)
-		}
-		if res.L() != ref.L() || res.Moves() != ref.Moves() ||
-			!reflect.DeepEqual(res.Binding, ref.Binding) {
-			t.Errorf("faulted run diverged: (L=%d, M=%d) vs clean (L=%d, M=%d)",
-				res.L(), res.Moves(), ref.L(), ref.Moves())
-		}
-	}
-
-	for _, hit := range []int64{1, 2, 3} {
-		hit := hit
-		t.Run(fmt.Sprintf("panic-at-snapshot/hit=%d", hit), func(t *testing.T) {
-			inj := faultinject.New(faultinject.Fault{
-				Point: bind.HookDeltaSnapshot, Hit: hit, Kind: faultinject.Panic,
-			})
-			res, err := bind.Bind(g, dp, bind.Options{
-				Parallelism: 4, ForceDelta: true, Hook: inj.At,
-			})
-			if inj.Count(bind.HookDeltaSnapshot) < hit {
-				t.Fatalf("snapshot seam fired %d times, fault at hit %d never landed",
-					inj.Count(bind.HookDeltaSnapshot), hit)
-			}
-			identical(t, res, err)
-		})
-	}
-
-	for _, hit := range []int64{1, 4, 16} {
-		hit := hit
-		t.Run(fmt.Sprintf("panic-mid-delta/hit=%d", hit), func(t *testing.T) {
-			inj := faultinject.New(faultinject.Fault{
-				Point: bind.HookDeltaCompute, Hit: hit, Kind: faultinject.Panic,
-			})
-			res, err := bind.Bind(g, dp, bind.Options{
-				Parallelism: 4, ForceDelta: true, Hook: inj.At,
-			})
-			if inj.Count(bind.HookDeltaCompute) < hit {
-				t.Fatalf("delta-compute seam fired %d times, fault at hit %d never landed",
-					inj.Count(bind.HookDeltaCompute), hit)
-			}
-			identical(t, res, err)
-		})
-	}
-
-	for _, hit := range []int64{1, 4, 16} {
-		hit := hit
-		t.Run(fmt.Sprintf("cancel-mid-delta/hit=%d", hit), func(t *testing.T) {
-			ctx, cancel := context.WithCancelCause(context.Background())
-			defer cancel(nil)
-			inj := faultinject.New(faultinject.Fault{
-				Point: bind.HookDeltaCompute, Hit: hit, Kind: faultinject.Cancel,
-			}).OnCancel(cancel)
-			res, err := bind.BindContext(ctx, g, dp, bind.Options{
-				Parallelism: 4, ForceDelta: true, Hook: inj.At,
-			})
-			if inj.Count(bind.HookDeltaCompute) < hit {
-				t.Fatalf("delta-compute seam fired %d times, cancel at hit %d never landed",
-					inj.Count(bind.HookDeltaCompute), hit)
-			}
-			if err != nil {
-				t.Fatalf("cancel mid-delta surfaced an error instead of degrading: %v", err)
-			}
-			if !res.Degraded {
-				t.Fatal("cancel mid-delta did not degrade; B-ITER should have stopped early")
-			}
-			if res.Budget == nil {
-				t.Error("Degraded result with nil Budget")
-			}
-			if err := audit.Audit(res); err != nil {
-				t.Fatalf("degraded result failed audit: %v", err)
-			}
-			if worseLM(res, floor) {
-				t.Errorf("degraded (L=%d, M=%d) worse than the B-INIT floor (L=%d, M=%d)",
-					res.L(), res.Moves(), floor.L(), floor.Moves())
-			}
-		})
-	}
 }

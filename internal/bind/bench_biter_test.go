@@ -7,45 +7,25 @@ import (
 	"vliwbind/internal/machine"
 )
 
-// The B-ITER benchmarks time the complete two-phase binding of the
-// largest kernel (DCT-DIT-2, 96 ops) with incremental candidate
-// evaluation enabled (the default) and forced off. Its B-INIT
-// incumbents are dense, so the profitability gate declines to arm and
-// the pair must coincide — the benchmark pins "delta on by default
-// costs nothing". The EWF pair covers the opposite decision: a
-// serialized incumbent schedule that the gate still declines (too few
-// cycles to amortize per-candidate setup), which ForceDelta showed
-// ~50% slower when armed. The per-candidate speedup itself is measured
-// in internal/problem (BenchmarkEvaluateDeltaHit); together these are
-// the key benchmarks distilled into BENCH_pr6.json by `make bench`
-// (see cmd/benchjson). Parallelism is pinned to 1 so the numbers
-// measure evaluation work, not pool scheduling, and paired runs walk
-// identical candidate sequences — the delta path is proven
-// bit-identical, so the knob trades only wall-clock time.
-func benchBind(b *testing.B, kernel, mach string, noDelta bool) {
-	b.Helper()
-	k, err := kernels.ByName(kernel)
+// BenchmarkBITER times the complete two-phase binding (B-INIT, then
+// B-ITER) of the largest kernel, DCT-DIT-2 (96 ops), on
+// [3,1|2,2|1,3] — a run whose time is almost all candidate evaluation.
+// Parallelism is pinned to 1 so the number measures evaluation work,
+// not pool scheduling.
+func BenchmarkBITER(b *testing.B) {
+	k, err := kernels.ByName("DCT-DIT-2")
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := k.Build()
-	dp := machine.MustParse(mach, machine.Config{})
-	opts := Options{Parallelism: 1, NoDelta: noDelta}
+	dp := machine.MustParse("[3,1|2,2|1,3]", machine.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Bind(g, dp, opts)
+		res, err := Bind(g, dp, Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = res.L()
 	}
 }
-
-func BenchmarkBITERDelta(b *testing.B) { benchBind(b, "DCT-DIT-2", "[3,1|2,2|1,3]", false) }
-
-func BenchmarkBITERFull(b *testing.B) { benchBind(b, "DCT-DIT-2", "[3,1|2,2|1,3]", true) }
-
-func BenchmarkBITERDeltaEWF(b *testing.B) { benchBind(b, "EWF", "[2,1|2,1]", false) }
-
-func BenchmarkBITERFullEWF(b *testing.B) { benchBind(b, "EWF", "[2,1|2,1]", true) }

@@ -31,25 +31,6 @@ type Options struct {
 	// NoPairs disables pair perturbations in B-ITER, leaving only
 	// single-operation re-bindings.
 	NoPairs bool
-	// NoDelta disables incremental (delta) candidate evaluation in
-	// B-ITER. By default each perturbation round whose incumbent
-	// schedule is serialized enough for replay to pay (see
-	// deltaAdmitOpsPerCycle) evaluates its candidates against a
-	// snapshot of that incumbent's schedule, recomputing only the cone
-	// the one/two-op boundary move can affect;
-	// the answers are proven bit-identical to full evaluation (the delta
-	// path falls back to it whenever it cannot prove the cone bound), so
-	// this knob trades only wall-clock time — it exists for differential
-	// testing and benchmarking, mirroring how Parallelism is a
-	// cost-only knob.
-	NoDelta bool
-	// ForceDelta arms incremental evaluation for every B-ITER
-	// incumbent, bypassing the profitability admission gate (see
-	// deltaAdmitMinCycles). It exists so differential tests, fault
-	// injection, and benchmarks can exercise the delta machinery on
-	// kernels too small to be admitted naturally; like NoDelta it
-	// trades only wall-clock time. NoDelta wins when both are set.
-	ForceDelta bool
 	// Sideways is the number of consecutive equal-quality (plateau)
 	// moves B-ITER may accept while escaping local minima — the "more
 	// powerful variant" of the paper's footnote 4. Zero defaults to 4
@@ -156,10 +137,10 @@ func (o Options) Validate() error {
 
 // Fingerprint returns a stable byte encoding of every option that can
 // change a binding result — the request half of a cross-request store
-// key. Cost-only knobs (Parallelism, NoDelta, ForceDelta, TaskRetries,
-// Stats, Hook, Observer, Store) are deliberately absent: every setting
-// of those is documented and tested to produce bit-identical results,
-// so requests differing only there must share a key. Options are
+// key. Cost-only knobs (Parallelism, TaskRetries, Stats, Hook,
+// Observer, Store) are deliberately absent: every setting of those is
+// documented and tested to produce bit-identical results, so requests
+// differing only there must share a key. Options are
 // defaulted first, so the zero value and an explicitly spelled-out
 // default configuration fingerprint identically. Invalid options return
 // the validation error.

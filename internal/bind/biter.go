@@ -215,12 +215,6 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 		en.emit(obs.Event{Type: obs.EvIterStop, Pass: pass, Round: round, Verdict: verdict})
 	}
 	curQ := quality(cur.rec)
-	// Arm incremental evaluation against the pass's starting incumbent;
-	// every accepted move re-arms below. Candidates in a round differ
-	// from the incumbent by one or two boundary re-bindings — exactly
-	// the perturbation shape the delta evaluator bounds a recompute
-	// cone for.
-	en.setIncumbent(ctx, cur.bn, cur.rec)
 	seen := map[string]bool{bindingKey(cur.bn): true}
 	plateau := 0
 	iter := 0
@@ -299,7 +293,6 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			L: recs[bestIdx].l, M: recs[bestIdx].m,
 			Before: curQ, After: bestQ})
 		cur, curQ = solution{bn: bns[bestIdx], rec: recs[bestIdx]}, bestQ
-		en.setIncumbent(ctx, cur.bn, cur.rec)
 		seen[bindingKey(cur.bn)] = true
 	}
 	stop(iter, "max-iterations")

@@ -64,14 +64,6 @@ const (
 	// HookCacheInsert fires after a successful computation, before its
 	// record is inserted into the memo cache.
 	HookCacheInsert = "bind.cache.insert"
-	// HookDeltaSnapshot fires when the engine captures a new incumbent
-	// snapshot for incremental evaluation — a panic here models a fault
-	// mid-capture, which must disarm the delta path, never corrupt it.
-	HookDeltaSnapshot = "bind.delta.snapshot"
-	// HookDeltaCompute fires inside a cache miss immediately before an
-	// incremental (delta) evaluation runs against the incumbent
-	// snapshot — a panic here models a fault mid-cone-recompute.
-	HookDeltaCompute = "bind.delta.compute"
 )
 
 // PanicError is a panic recovered from an evaluation task, converted
@@ -123,8 +115,7 @@ func canceled(ctx context.Context, err error) bool {
 // (Parallelism 1 is the exact pre-engine sequential path, which never
 // memoized).
 type CacheStats struct {
-	hits, misses, retries     atomic.Int64
-	deltaHits, deltaFallbacks atomic.Int64
+	hits, misses, retries atomic.Int64
 
 	// Cross-request result-store verdicts, moved by the facade (package
 	// vliwbind), which owns store lookup and audit-on-read. They live on
@@ -145,18 +136,6 @@ func (s *CacheStats) Misses() int64 { return s.misses.Load() }
 // Retries returns how many transient task failures (recovered panics)
 // the engine re-ran with backoff.
 func (s *CacheStats) Retries() int64 { return s.retries.Load() }
-
-// DeltaHits returns how many cache misses were computed incrementally
-// against the incumbent snapshot with work actually saved (prefix reuse
-// or reconvergence fast-forward).
-func (s *CacheStats) DeltaHits() int64 { return s.deltaHits.Load() }
-
-// DeltaFallbacks returns how many cache misses ran through the delta
-// path without saving work — the perturbation cone reached cycle 0, or
-// the replay fell back to the full schedule. Together with DeltaHits
-// this accounts for every computation performed while a snapshot was
-// armed: DeltaHits + DeltaFallbacks == the armed subset of Misses.
-func (s *CacheStats) DeltaFallbacks() int64 { return s.deltaFallbacks.Load() }
 
 // StoreHits returns how many requests were served from the cross-request
 // result store (each carrying a fresh audit certificate).
@@ -338,20 +317,6 @@ type engine struct {
 	phase      string               // current engine phase; written only
 	// between pool batches (the WaitGroup join orders the write against
 	// every worker read), so event emission never races on it
-
-	// Incremental-evaluation state. snap holds the current incumbent's
-	// schedule snapshot; while armed, cache misses evaluate through
-	// problem.EvaluateDelta (bit-identical to the full path by
-	// construction — arming changes cost, never results). All three
-	// fields are written only between pool batches (setIncumbent is
-	// called from the single-threaded driver loop), and snap is
-	// read-only to workers, so the sharing is race-free for the same
-	// reason phase is.
-	noDelta    bool
-	forceDelta bool
-	deltaArmed bool
-	snap       *problem.Snapshot
-	snapEv     *problem.Evaluator // dedicated scratch for snapshot capture
 }
 
 // newEngine builds the evaluation engine for defaulted opts. It fails
@@ -371,8 +336,6 @@ func newEngine(g *dfg.Graph, dp *machine.Datapath, opts Options) (*engine, error
 		maxRetries: opts.TaskRetries,
 		obs:        opts.Observer,
 		kernel:     g.Name(),
-		noDelta:    opts.NoDelta,
-		forceDelta: opts.ForceDelta,
 	}
 	if opts.Parallelism > 1 {
 		en.cache = &recCache{m: make(map[string]*evalRec)}
@@ -502,101 +465,11 @@ func (en *engine) evaluatorFor(worker int) *problem.Evaluator {
 	return en.evs[worker]
 }
 
-// The profitability gate for arming incremental evaluation. Replay
-// pays only when the incumbent's schedule is both serialized — few
-// issues per cycle leave most replay cycles forced, so the oracle
-// commits them without sorting — and long enough in absolute cycles
-// for the prefix install and tail fast-forward to amortize the
-// per-candidate setup (snapshot matching, window analysis, pool
-// bookkeeping). Measured on the checked-in kernels: a contained
-// one-op move against a 53-cycle serialized DCT-DIT-2 incumbent
-// evaluates ~3x faster through the delta path, but dense B-INIT
-// schedules (DCT-DIT-2 on [3,1|2,2|1,3], ~7.5 ops/cycle) and short
-// serialized ones (EWF on [2,1|2,1], 14 cycles) both come out slower —
-// the crossover to parity sits near 32 cycles at ≤4 ops/cycle. The
-// gate only chooses which bit-identical path runs, so it trades
-// wall-clock time and nothing else; Options.ForceDelta bypasses it for
-// tests and benchmarks of the machinery itself.
-const (
-	deltaAdmitOpsPerCycle = 4
-	deltaAdmitMinCycles   = 32
-)
-
-// setIncumbent (re)captures the incremental-evaluation snapshot for
-// the solution B-ITER is about to perturb: binding bn, whose evaluated
-// record rec supplies the schedule shape the admission gate inspects.
-// It is strictly best-effort: a skipped admission, or any fault — an
-// injected panic at the snapshot seam, a failed evaluation, a failed
-// capture — disarms the delta path and discards the capture scratch,
-// after which every evaluation takes the full route. Results are
-// bit-identical either way, so this can never turn a binding failure
-// into a wrong answer. Call only between pool batches (see the field
-// comments).
-func (en *engine) setIncumbent(ctx context.Context, bn []int, rec *evalRec) {
-	en.deltaArmed = false
-	if en.noDelta || ctx.Err() != nil {
-		return
-	}
-	if nv := en.p.NumNodes() + rec.m; !en.forceDelta &&
-		(rec.l < deltaAdmitMinCycles || nv > deltaAdmitOpsPerCycle*rec.l) {
-		return
-	}
-	err := guard(-1, nil, func() error {
-		en.fire(HookDeltaSnapshot)
-		if en.snapEv == nil {
-			en.snapEv = en.p.NewEvaluator()
-		}
-		if en.snap == nil {
-			en.snap = new(problem.Snapshot)
-		}
-		if _, err := en.snapEv.Evaluate(bn); err != nil {
-			return err
-		}
-		return en.snap.Capture(en.snapEv, bn)
-	})
-	if err != nil {
-		// The capture scratch may be half-mutated; drop it with the
-		// snapshot rather than reason about its state.
-		if en.snap != nil {
-			en.snap.Invalidate()
-		}
-		en.snapEv = nil
-		en.emit(obs.Event{Type: obs.EvDeltaSnapshot, Key: keyHex(bn), Err: err.Error()})
-		return
-	}
-	en.deltaArmed = true
-	en.emit(obs.Event{Type: obs.EvDeltaSnapshot, Key: keyHex(bn),
-		L: en.snap.L(), M: en.snap.Moves()})
-}
-
 // compute runs one virtual evaluation on worker's scratch and snapshots
-// the record the binding algorithms need. While an incumbent snapshot
-// is armed the evaluation runs incrementally; the verdict counter and
-// its eval.delta event move together, immediately after a successful
-// computation, so a journal's per-verdict totals always reconcile with
-// CacheStats.
+// the record the binding algorithms need.
 func (en *engine) compute(worker int, bn []int) (*evalRec, error) {
 	en.fire(HookCompute)
 	ev := en.evaluatorFor(worker)
-	if en.deltaArmed {
-		en.fire(HookDeltaCompute)
-		e, verdict, err := ev.EvaluateDelta(en.snap, bn)
-		if err != nil {
-			return nil, err
-		}
-		if en.stats != nil {
-			if verdict.Hit() {
-				en.stats.deltaHits.Add(1)
-			} else {
-				en.stats.deltaFallbacks.Add(1)
-			}
-		}
-		if en.obs != nil {
-			en.emit(obs.Event{Type: obs.EvEvalDelta, Key: keyHex(bn),
-				L: e.L, M: e.M, Verdict: verdict.String()})
-		}
-		return &evalRec{l: e.L, m: e.M, qu: Quality(ev.AppendQualityU(nil))}, nil
-	}
 	e, err := ev.Evaluate(bn)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
-// External test package: the differential harness compares the
-// allocation-free problem.Evaluator against the materialized
-// bind.Evaluate path, so it needs both as a client.
+// External test package: the differential harness holds the
+// allocation-free problem.Evaluator to the frozen sort-based oracle
+// (schedtest) and to the materialized bind.Evaluate path, so it needs
+// all three as a client.
 package bind_test
 
 import (
@@ -10,6 +11,7 @@ import (
 	"vliwbind/internal/kernels"
 	"vliwbind/internal/machine"
 	"vliwbind/internal/problem"
+	"vliwbind/internal/sched/schedtest"
 )
 
 var evalFuzzDatapaths = []string{
@@ -18,15 +20,57 @@ var evalFuzzDatapaths = []string{
 	"[2,2|1,1|2,1]",
 	"[1,1|1,1|1,1]@ring:1",
 	"[2,1|1,1]@p2p",
-	"[1,1|1,1|1,1|1,1]@ring:1", // multi-hop: full path only; delta capture refuses it
+	"[1,1|1,1|1,1|1,1]@ring:1", // multi-hop moves
 }
 
-// FuzzEvaluatorDifferential checks the central performance claim of the
-// virtual evaluator: for any binding of any graph, its (L, M), Q_U
-// vector and per-node start cycles are bit-identical to building the
-// bound graph and list-scheduling it for real. The fuzzed binding is
-// derived from a splitmix-style generator so every node's cluster
-// varies independently of graph shape.
+// fuzzBinding derives a binding of g's ops from seed with a
+// splitmix-style generator, so every node's cluster varies
+// independently of graph shape.
+func fuzzBinding(n, clusters int, seed uint64) []int {
+	binding := make([]int, n)
+	x := seed
+	for i := range binding {
+		x = x*6364136223846793005 + 1442695040888963407
+		binding[i] = int(x>>33) % clusters
+	}
+	return binding
+}
+
+// checkAgainstMaterialized asserts that ev's last evaluation, e, agrees
+// with bind.Evaluate on binding: (L, M), the Q_U vector and every bound
+// node's start cycle.
+func checkAgainstMaterialized(t *testing.T, ev *problem.Evaluator, e problem.Eval, res *bind.Result) {
+	t.Helper()
+	if e.L != res.L() || e.M != res.Moves() {
+		t.Fatalf("figures of merit diverge: evaluator (%d,%d), materialized (%d,%d)",
+			e.L, e.M, res.L(), res.Moves())
+	}
+	got := ev.AppendQualityU(nil)
+	want := []int(bind.QualityU(res.Schedule))
+	if len(got) != len(want) {
+		t.Fatalf("Q_U length diverges: %v vs %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Q_U[%d] diverges: %v vs %v", i, got, want)
+		}
+	}
+	starts := ev.AppendStarts(nil)
+	if len(starts) != len(res.Schedule.Start) {
+		t.Fatalf("start-vector length diverges: %d vs %d", len(starts), len(res.Schedule.Start))
+	}
+	for i := range starts {
+		if starts[i] != res.Schedule.Start[i] {
+			t.Fatalf("start[%d] diverges: %d vs %d", i, starts[i], res.Schedule.Start[i])
+		}
+	}
+}
+
+// FuzzEvaluatorDifferential checks the scheduling core against the
+// oracle for any binding of any graph: the Evaluator's (L, M), Q_U
+// vector and start cycles, and sched.List's whole schedule, must equal
+// the sort-based ListSortRef's on the materialized bound graph, and the
+// Evaluator must agree with bind.Evaluate.
 func FuzzEvaluatorDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0), uint64(0))
 	f.Add(int64(7), uint8(20), uint8(1), uint64(9876))
@@ -41,48 +85,23 @@ func FuzzEvaluatorDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binding := make([]int, g.NumOps())
-		x := bindSeed
-		for i := range binding {
-			x = x*6364136223846793005 + 1442695040888963407
-			binding[i] = int(x>>33) % dp.NumClusters()
-		}
-
+		binding := fuzzBinding(g.NumOps(), dp.NumClusters(), bindSeed)
 		p, err := problem.New(g, dp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev := p.NewEvaluator()
+		if err := schedtest.CheckEvaluator(ev, binding); err != nil {
+			t.Fatal(err)
+		}
 		e, verr := ev.Evaluate(binding)
 		res, merr := bind.Evaluate(g, dp, binding)
 		if (verr != nil) != (merr != nil) {
 			t.Fatalf("error disagreement: evaluator=%v, materialized=%v", verr, merr)
 		}
 		if verr != nil {
-			t.Skip("binding rejected by both paths")
+			return // rejected by every path
 		}
-		if e.L != res.L() || e.M != res.Moves() {
-			t.Fatalf("figures of merit diverge: evaluator (%d,%d), materialized (%d,%d)",
-				e.L, e.M, res.L(), res.Moves())
-		}
-		got := ev.AppendQualityU(nil)
-		want := []int(bind.QualityU(res.Schedule))
-		if len(got) != len(want) {
-			t.Fatalf("Q_U length diverges: %v vs %v", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Q_U[%d] diverges: %v vs %v", i, got, want)
-			}
-		}
-		starts := ev.AppendStarts(nil)
-		if len(starts) != len(res.Schedule.Start) {
-			t.Fatalf("start-vector length diverges: %d vs %d", len(starts), len(res.Schedule.Start))
-		}
-		for i := range starts {
-			if starts[i] != res.Schedule.Start[i] {
-				t.Fatalf("start[%d] diverges: %d vs %d", i, starts[i], res.Schedule.Start[i])
-			}
-		}
+		checkAgainstMaterialized(t, ev, e, res)
 	})
 }

@@ -12,16 +12,25 @@ import (
 	"vliwbind/internal/pcc"
 )
 
+// multiHopRows are DCT-DIT-2 on two four-cluster rings, where moves
+// take up to two hops and one move's later hop books a channel a cycle
+// ahead of another move's first hop on it.
+var multiHopRows = []Row{
+	{Kernel: "DCT-DIT-2", Clusters: "[2,1|1,0|1,0|0,1]", Topology: "ring", LinkCap: 1},
+	{Kernel: "DCT-DIT-2", Clusters: "[2,0|2,0|0,1|0,1]", Topology: "ring", LinkCap: 1},
+}
+
 // TestAuditDifferentialAllBindersAllRows is the acceptance sweep for the
-// invariant auditor: every kernel × Table 1/Table 2 datapath, all five
-// binders (min-cut skips the heterogeneous rows it refuses by design),
-// every result certified end to end by audit.Audit. With -short only a
-// representative prefix runs; the full sweep is the tier that guards the
-// paper-reproduction claim.
+// invariant auditor: every kernel × Table 1/Table 2 datapath plus the
+// multi-hop rings, all five binders (min-cut skips the heterogeneous
+// rows it refuses by design), every result certified end to end by
+// audit.Audit. With -short only a representative prefix and the rings
+// run; the full sweep is the tier that guards the paper-reproduction
+// claim.
 func TestAuditDifferentialAllBindersAllRows(t *testing.T) {
-	rows := append(Table1(), Table2()...)
+	rows := append(append(Table1(), Table2()...), multiHopRows...)
 	if testing.Short() {
-		rows = append(append([]Row(nil), Table1()[:3]...), Table2()[0])
+		rows = append(append(append([]Row(nil), Table1()[:3]...), Table2()[0]), multiHopRows...)
 	}
 	for _, r := range rows {
 		k, err := kernels.ByName(r.Kernel)

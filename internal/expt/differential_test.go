@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"vliwbind/internal/anneal"
@@ -11,17 +10,18 @@ import (
 	"vliwbind/internal/kernels"
 	"vliwbind/internal/mincut"
 	"vliwbind/internal/pcc"
-	"vliwbind/internal/sched"
+	"vliwbind/internal/sched/schedtest"
 )
 
-// TestSharedBusMatchesScalarReference is the refactor's bit-identity
-// proof at the experiment level: every schedule the five binders produce
-// on shared-bus machines must be *deeply equal* to what the frozen
-// pre-interconnect scalar-bus-pool scheduler (sched.ListScalarRef)
-// derives for the same bound graph and binding — same starts, same
-// units, same L, field for field. Run at parallelism 1 and 4 because the
-// evaluation worker pool is the one place concurrency could sneak a
-// different-but-equally-good schedule into a result.
+// TestSharedBusMatchesScalarReference is the routed-interconnect
+// refactor's bit-identity proof at the experiment level: every schedule
+// the five binders produce on shared-bus machines must equal what the
+// frozen pre-interconnect scalar-bus-pool scheduler
+// (schedtest.ListScalarRef) derives for the same bound graph and
+// binding — same starts, same units, same finishes, same L, field for
+// field. Run at parallelism 1 and 4 because the evaluation worker pool
+// is the one place concurrency could sneak a different-but-equally-good
+// schedule into a result.
 func TestSharedBusMatchesScalarReference(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		par := par
@@ -55,13 +55,13 @@ func TestSharedBusMatchesScalarReference(t *testing.T) {
 					if err := audit.Audit(res); err != nil {
 						t.Fatalf("%s on %s failed audit: %v", v.algo, r.Name(), err)
 					}
-					ref, err := sched.ListScalarRef(res.Bound, dp, res.BoundBinding)
+					ref, err := schedtest.ListScalarRef(res.Bound, dp, res.BoundBinding)
 					if err != nil {
 						t.Fatalf("%s on %s: scalar reference scheduler: %v", v.algo, r.Name(), err)
 					}
-					if !reflect.DeepEqual(ref, res.Schedule) {
-						t.Errorf("%s on %s: route-aware schedule diverges from the scalar bus-pool reference\nref L=%d got L=%d",
-							v.algo, r.Name(), ref.L, res.Schedule.L)
+					if d := schedtest.Diff(res.Schedule, ref); d != "" {
+						t.Errorf("%s on %s: route-aware schedule diverges from the scalar bus-pool reference: %s",
+							v.algo, r.Name(), d)
 					}
 				}
 			}

@@ -93,8 +93,8 @@ func TestRingRouting(t *testing.T) {
 	if got := d4.Route(0, 2); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("4-ring Route(0,2) = %v, want clockwise [0 1]", got)
 	}
-	// Three clusters or fewer stay single-hop: the delta-evaluation
-	// fast path remains available there.
+	// Three clusters or fewer stay single-hop: every move there takes
+	// the evaluator's one-pool fast path.
 	d3 := MustParse("[1,1|1,1|1,1]", Config{Topology: TopoRing})
 	if d3.MaxHops() != 1 || d3.MultiHop() {
 		t.Errorf("3-ring MaxHops = %d, want 1", d3.MaxHops())

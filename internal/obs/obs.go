@@ -43,20 +43,6 @@ const (
 	// (L, M), the Q_U vector, and the cache verdict (hit, miss, or
 	// empty when the cache is inactive at Parallelism 1).
 	EvEval = "eval"
-	// EvEvalDelta records one incremental (delta) candidate evaluation
-	// performed against the armed incumbent snapshot: binding key,
-	// (L, M), and the verdict — "hit" when prefix reuse or the
-	// reconvergence fast-forward saved work, "fallback-window" or
-	// "fallback-error" when the delta degenerated to full work. Exactly
-	// one eval.delta event is emitted per computation while a snapshot
-	// is armed, adjacent to the CacheStats delta counters, so journal
-	// totals and DeltaHits/DeltaFallbacks always reconcile.
-	EvEvalDelta = "eval.delta"
-	// EvDeltaSnapshot records one incumbent snapshot (re)capture for
-	// incremental evaluation — the incumbent's key and (L, M) on
-	// success, or Err when the capture faulted and the delta path
-	// disarmed itself.
-	EvDeltaSnapshot = "delta.snapshot"
 	// EvPoolBatch aggregates one worker-pool batch: task count plus
 	// total queue (submit→start) and execute nanoseconds.
 	EvPoolBatch = "pool.batch"

@@ -77,85 +77,6 @@ func BenchmarkEvaluateVirtual(b *testing.B) {
 	}
 }
 
-// deltaBenchSetup prepares the shape B-ITER presents to the incremental
-// evaluator: one incumbent snapshot plus a pool of one-op boundary
-// perturbations, pre-filtered so every candidate in the pool takes the
-// delta-hit path with the machinery fully engaged — at least 11/12 of
-// its issues bypass the sorted scheduling loop (DeltaSavings), i.e. the
-// contained perturbations the delta path exists for. The same pool
-// feeds the full-path benchmark, so the two timings compare the exact
-// same work; EXPERIMENTS.md reports how often B-ITER candidates land in
-// this regime alongside the aggregate numbers.
-func deltaBenchSetup(b *testing.B) (*problem.Evaluator, *problem.Snapshot, [][]int) {
-	b.Helper()
-	p, dp, bns := benchSetup(b)
-	base := bns[0]
-	ev := p.NewEvaluator()
-	snap := new(problem.Snapshot)
-	if _, err := ev.Evaluate(base); err != nil {
-		b.Fatal(err)
-	}
-	if err := snap.Capture(ev, base); err != nil {
-		b.Fatal(err)
-	}
-	var pool [][]int
-	for op := 0; op < len(base) && len(pool) < 16; op++ {
-		for c := 0; c < dp.NumClusters(); c++ {
-			if c == base[op] {
-				continue
-			}
-			cand := append([]int(nil), base...)
-			cand[op] = c
-			_, verdict, err := ev.EvaluateDelta(snap, cand)
-			if err != nil || !verdict.Hit() {
-				continue
-			}
-			if by, tot := ev.DeltaSavings(); 12*by >= 11*tot {
-				pool = append(pool, cand)
-				break
-			}
-		}
-	}
-	if len(pool) == 0 {
-		b.Fatal("no one-op boundary move takes the high-bypass delta-hit path on DCT-DIT-2")
-	}
-	return ev, snap, pool
-}
-
-// BenchmarkEvaluateDeltaHit times one incremental candidate evaluation
-// against an armed incumbent snapshot — the B-ITER inner loop after
-// this PR. Compare with BenchmarkEvaluateFullPerturbed over the same
-// candidate pool; the speedup claim in EXPERIMENTS.md comes from this
-// pair, and the delta-hit path must stay at zero allocs/op.
-func BenchmarkEvaluateDeltaHit(b *testing.B) {
-	ev, snap, pool := deltaBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, _, err := ev.EvaluateDelta(snap, pool[i%len(pool)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = e.L
-	}
-}
-
-// BenchmarkEvaluateFullPerturbed times the same one-op perturbed
-// candidates through the full virtual scheduling path — the B-ITER
-// inner loop before this PR.
-func BenchmarkEvaluateFullPerturbed(b *testing.B) {
-	ev, _, pool := deltaBenchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := ev.Evaluate(pool[i%len(pool)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = e.L
-	}
-}
-
 // BenchmarkEvaluateVirtualWithQuality adds the full Q_U vector append —
 // the shape B-ITER actually uses per candidate.
 func BenchmarkEvaluateVirtualWithQuality(b *testing.B) {

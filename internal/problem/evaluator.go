@@ -2,9 +2,9 @@ package problem
 
 import (
 	"fmt"
-	"sort"
 
 	"vliwbind/internal/dfg"
+	"vliwbind/internal/sched"
 )
 
 // Eval is the compact outcome of virtually scheduling one candidate
@@ -44,11 +44,12 @@ type Evaluator struct {
 	// at first use, immediately before their first consumer.
 	nv       int
 	nMoves   int
-	moveWork int32 // Σ hops·(moveDII+moveLat) over moves, for the stall guard
+	moveWork int32   // Σ hops·(moveDII+moveLat) over moves, for the stall guard
 	vID      []int32 // original node ID; for moves, the producer's ID
 	vIsMove  []bool
 	vCluster []int32 // moves carry their destination cluster
 	vLat     []int32 // latency per virtual node, flattened by buildVirtual
+	vPool    []int32 // pool key of the unit each node issues on; −1 for multi-hop moves
 
 	// Dependence structure in CSR form, rebuilt per call.
 	predStart []int32
@@ -59,30 +60,24 @@ type Evaluator struct {
 
 	// Per-virtual-node schedule state.
 	asap, alap []int32
-	earliest   []int32
+	cons       []int32 // consumer count, the priority's third key
 	start      []int32
-	unit       []int32 // global unit-pool index each node issued on
 	pending    []int32
 
-	ready, wake []int32
-	unitFree    []int32
+	ready    sched.ReadySet
+	unitFree []int32
+	// fullAt[k] is 1 + the cycle in which pool k last turned a node
+	// away. Within a cycle a pool only gets busier, so every later node
+	// on it is turned away too, without probing.
+	fullAt []int32
 
-	lastL        int32
-	lastTarget   int32
-	lastOK       bool  // last Evaluate/EvaluateDelta completed successfully
-	lastBypassed int32 // sorted-loop issues bypassed by the last delta eval
-	profile      []int32
-	sorter       sort.Interface
-	eligN        int32 // eligible-prefix length for eligSorter (delta path)
-	eligSorter   sort.Interface
-
-	// delta is the scratch of EvaluateDelta (see delta.go), allocated on
-	// first use so evaluators that never go incremental pay nothing.
-	delta *replayState
+	lastL   int32
+	profile []int32
 }
 
 // NewEvaluator creates an evaluator with scratch sized for the problem's
-// worst case (every dependence crossing clusters).
+// worst case (every dependence crossing clusters on the longest route),
+// so Evaluate never allocates.
 func (p *Problem) NewEvaluator() *Evaluator {
 	maxV := p.n + len(p.preds) // every pred edge spawns at most one move
 	maxE := 2 * len(p.preds)   // original edges + one edge per move
@@ -95,6 +90,7 @@ func (p *Problem) NewEvaluator() *Evaluator {
 		vIsMove:   make([]bool, maxV),
 		vCluster:  make([]int32, maxV),
 		vLat:      make([]int32, maxV),
+		vPool:     make([]int32, maxV),
 		predStart: make([]int32, maxV+1),
 		preds:     make([]int32, 0, maxE),
 		succStart: make([]int32, maxV+1),
@@ -102,16 +98,17 @@ func (p *Problem) NewEvaluator() *Evaluator {
 		succCnt:   make([]int32, maxV),
 		asap:      make([]int32, maxV),
 		alap:      make([]int32, maxV),
-		earliest:  make([]int32, maxV),
+		cons:      make([]int32, maxV),
 		start:     make([]int32, maxV),
-		unit:      make([]int32, maxV),
 		pending:   make([]int32, maxV),
-		ready:     make([]int32, 0, maxV),
-		wake:      make([]int32, 0, maxV),
 		unitFree:  make([]int32, p.unitPoolLen),
+		fullAt:    make([]int32, len(p.poolOff)),
 	}
-	e.sorter = (*readyOrder)(e) // one interface value, reused by every sort
-	e.eligSorter = (*eligOrder)(e)
+	// The stall-guard bound of any candidate: its critical path and its
+	// total work are each at most the original work plus that of every
+	// possible move.
+	maxMoveWork := int32(len(p.preds)) * int32(p.dp.MaxHops()) * (p.moveDII + p.moveLat)
+	e.ready.Reset(maxV, int(2*(p.baseWork+maxMoveWork)+1))
 	return e
 }
 
@@ -146,59 +143,11 @@ func (e *Evaluator) numConsumers(k int32) int32 {
 	return c
 }
 
-// readyOrder sorts the ready list under the paper's priority ranking
-// (ALAP, mobility, consumer count, then node ID — a strict total order,
-// so an unstable sort is deterministic). It is the Evaluator itself
-// under another type: one persistent sort.Interface value, so sorting
-// allocates nothing.
-type readyOrder Evaluator
-
-func (o *readyOrder) Len() int { return len(o.ready) }
-
-func (o *readyOrder) Swap(i, j int) { o.ready[i], o.ready[j] = o.ready[j], o.ready[i] }
-
-func (o *readyOrder) Less(i, j int) bool {
-	return (*Evaluator)(o).priorityLess(o.ready[i], o.ready[j])
-}
-
-// eligOrder sorts only the eligible prefix ready[:eligN]. The delta
-// path partitions the ops issuable this cycle to the front first (see
-// partitionEligible): ops whose earliest lies beyond the current cycle
-// cannot issue, so their order never affects a decision and sorting
-// them is wasted work.
-type eligOrder Evaluator
-
-func (o *eligOrder) Len() int { return int(o.eligN) }
-
-func (o *eligOrder) Swap(i, j int) { o.ready[i], o.ready[j] = o.ready[j], o.ready[i] }
-
-func (o *eligOrder) Less(i, j int) bool {
-	return (*Evaluator)(o).priorityLess(o.ready[i], o.ready[j])
-}
-
-// priorityLess is the paper's priority ranking on two virtual nodes.
-func (e *Evaluator) priorityLess(a, b int32) bool {
-	if e.alap[a] != e.alap[b] {
-		return e.alap[a] < e.alap[b]
-	}
-	ma, mb := e.alap[a]-e.asap[a], e.alap[b]-e.asap[b]
-	if ma != mb {
-		return ma < mb
-	}
-	ca, cb := e.numConsumers(a), e.numConsumers(b)
-	if ca != cb {
-		return ca > cb
-	}
-	return a < b
-}
-
 // Evaluate virtually binds and schedules one candidate. The binding is
 // read, never retained; the result's richer parts (completion profile,
 // start cycles) remain readable via AppendQualityU / AppendStarts until
 // the next Evaluate on this evaluator.
 func (e *Evaluator) Evaluate(bn []int) (Eval, error) {
-	e.lastOK = false
-	e.lastBypassed = 0
 	if err := e.validate(bn); err != nil {
 		return Eval{}, err
 	}
@@ -206,14 +155,11 @@ func (e *Evaluator) Evaluate(bn []int) (Eval, error) {
 		return Eval{}, err
 	}
 	e.buildSucc()
-	target := e.computeWindows()
-	unscheduled, L := e.resetSchedule()
-	L, err := e.scheduleFrom(0, target, unscheduled, L, nil)
+	L, err := e.schedule(e.computeWindows())
 	if err != nil {
 		return Eval{}, err
 	}
-	e.lastL, e.lastTarget = L, target
-	e.lastOK = true
+	e.lastL = L
 	return Eval{L: int(L), M: e.nMoves}, nil
 }
 
@@ -274,9 +220,17 @@ func (e *Evaluator) buildVirtual(bn []int) error {
 			e.vCluster[nv] = c
 			// A routed move pays MoveLat per hop; on single-hop
 			// machines this is exactly the scalar model's MoveLat.
-			hops := int32(len(p.routeOf(int32(bn[pr]), c)))
+			route := p.routeOf(int32(bn[pr]), c)
+			hops := int32(len(route))
+			if hops == 0 {
+				return fmt.Errorf("problem: binding needs a move from cluster %d to %d but the interconnect has no route", bn[pr], c)
+			}
 			e.vLat[nv] = hops * p.moveLat
 			e.moveWork += hops * (p.moveDII + p.moveLat)
+			e.vPool[nv] = -1
+			if hops == 1 {
+				e.vPool[nv] = p.fuKeys + route[0]
+			}
 			e.predStart[nv] = int32(len(e.preds))
 			e.preds = append(e.preds, e.vOf[pr])
 			e.moveGen[slot] = e.gen
@@ -288,6 +242,7 @@ func (e *Evaluator) buildVirtual(bn []int) error {
 		e.vIsMove[nv] = false
 		e.vCluster[nv] = c
 		e.vLat[nv] = p.lat[id]
+		e.vPool[nv] = c*int32(dfg.NumFUTypes) + p.fut[id]
 		e.predStart[nv] = int32(len(e.preds))
 		for _, pr := range p.predsOf(id) {
 			if int32(bn[pr]) == c {
@@ -368,193 +323,125 @@ func (e *Evaluator) computeWindows() int32 {
 	return target
 }
 
-// resetSchedule initializes phase-3 state for a from-scratch schedule:
-// clear resource tables, no node issued, sources ready (ALAP-held when
-// they are loads). Returns the unscheduled count and the initial L.
-func (e *Evaluator) resetSchedule() (unscheduled, L int32) {
+// schedule is phase 3: list scheduling, mirroring sched.List cycle for
+// cycle on the same ReadySet core — rank once, then issue each cycle's
+// ready nodes in rank order, one pass per cycle. Returns L.
+func (e *Evaluator) schedule(target int32) (int32, error) {
 	p := e.p
 	nv := int32(e.nv)
-	for i := range e.unitFree {
-		e.unitFree[i] = 0
+	bound := target + p.baseWork + e.moveWork + 1
+	clear(e.unitFree)
+	clear(e.fullAt)
+	rs := &e.ready
+	rs.Reset(int(nv), int(bound))
+	for k := int32(0); k < nv; k++ {
+		e.cons[k] = e.numConsumers(k)
 	}
-	e.ready = e.ready[:0]
+	rs.Rank(e.asap, e.alap, e.cons)
 	for k := int32(0); k < nv; k++ {
 		e.start[k] = -1
-		e.earliest[k] = 0
 		np := e.predStart[k+1] - e.predStart[k]
 		e.pending[k] = np
 		if np == 0 {
+			at := int32(0)
 			if !e.vIsMove[k] && p.isLoad[e.vID[k]] {
-				e.earliest[k] = e.alap[k]
+				at = e.alap[k] // spill reloads are held to their ALAP level
 			}
-			e.ready = append(e.ready, k)
+			rs.Park(k, at)
 		}
 	}
-	return nv, 0
-}
-
-// scheduleFrom is phase 3: the list-scheduling cycle loop, mirroring
-// sched.List cycle for cycle. A full evaluation enters with first == 0
-// and resetSchedule's state; a delta replay (see delta.go) enters at the
-// first cycle any perturbed node could issue, with the incumbent's
-// prefix state already installed and a non-nil replay tracker. The
-// tracker observes issues and may terminate the loop early by
-// fast-forwarding from the incumbent — it never influences which node
-// issues where, so the decision sequence is the full path's by
-// construction.
-func (e *Evaluator) scheduleFrom(first, target, unscheduled, L int32, rp *replayState) (int32, error) {
-	p := e.p
-	totalWork := p.baseWork + e.moveWork
-	for cycle := first; unscheduled > 0; cycle++ {
-		if cycle > target+totalWork+1 {
-			return 0, fmt.Errorf("problem: no progress by cycle %d; resource model inconsistent", cycle)
+	L := int32(0)
+	for cycle, unscheduled := int32(0), nv; unscheduled > 0; cycle++ {
+		if cycle > bound {
+			return 0, stalled(cycle)
 		}
-		if rp != nil {
-			rp.atCycleTop(e, cycle)
-			if rp.converged(e, cycle) {
-				return rp.fastForward(e, cycle, L), nil
-			}
-			ne := rp.partitionEligible(e, cycle)
-			if n, nl, ok := rp.oracleAdvance(e, cycle, L, ne); ok {
-				unscheduled -= n
-				L = nl
+		if cycle = rs.Advance(cycle); cycle < 0 {
+			return 0, stalled(bound)
+		}
+		for r := rs.Next(0); r >= 0; r = rs.Next(r + 1) {
+			k := rs.Node(r)
+			pk := e.vPool[k]
+			if pk >= 0 && e.fullAt[pk] == cycle+1 {
 				continue
 			}
-			e.eligN = ne
-			sort.Sort(e.eligSorter)
-		} else {
-			sort.Sort(e.sorter)
-		}
-		issuedAny := true
-		for issuedAny {
-			issuedAny = false
-			w := 0
-			e.wake = e.wake[:0]
-			for _, k := range e.ready {
-				if e.earliest[k] > cycle {
-					e.ready[w] = k
-					w++
+			if !e.reserve(k, cycle) {
+				if pk >= 0 {
+					e.fullAt[pk] = cycle + 1
+				}
+				continue
+			}
+			rs.Remove(r)
+			e.start[k] = cycle
+			L = max(L, cycle+e.latOf(k))
+			unscheduled--
+			for _, s := range e.vSuccsOf(k) {
+				if e.pending[s]--; e.pending[s] > 0 {
 					continue
 				}
-				if e.vIsMove[k] {
-					ch := e.reserveMove(k, cycle)
-					if ch < 0 {
-						e.ready[w] = k
-						w++
-						continue
-					}
-					e.start[k] = cycle
-					e.unit[k] = ch
-				} else {
-					key := e.vCluster[k]*int32(dfg.NumFUTypes) + p.fut[e.vID[k]]
-					pool := e.unitFree[p.poolOff[key] : p.poolOff[key]+p.poolLen[key]]
-					u := freeUnit32(pool, cycle)
-					if u < 0 {
-						e.ready[w] = k
-						w++
-						continue
-					}
-					pool[u] = cycle + e.diiOf(k)
-					e.start[k] = cycle
-					e.unit[k] = p.poolOff[key] + int32(u)
+				ev := int32(0)
+				for _, pr := range e.vPredsOf(s) {
+					ev = max(ev, e.start[pr]+e.latOf(pr))
 				}
-				if rp != nil {
-					rp.onIssue(e, k, cycle, e.unit[k])
+				if !e.vIsMove[s] && p.isLoad[e.vID[s]] {
+					ev = max(ev, e.alap[s])
 				}
-				if fin := cycle + e.latOf(k); fin > L {
-					L = fin
+				if ev > bound {
+					return 0, stalled(bound + 1)
 				}
-				unscheduled--
-				issuedAny = true
-				for _, s := range e.vSuccsOf(k) {
-					e.pending[s]--
-					if e.pending[s] == 0 {
-						ev := int32(0)
-						for _, pr := range e.vPredsOf(s) {
-							if f := e.start[pr] + e.latOf(pr); f > ev {
-								ev = f
-							}
-						}
-						if !e.vIsMove[s] && p.isLoad[e.vID[s]] && e.alap[s] > ev {
-							ev = e.alap[s]
-						}
-						e.earliest[s] = ev
-						if rp != nil {
-							rp.noteReady(e, s)
-						}
-						e.wake = append(e.wake, s)
-					}
-				}
-			}
-			e.ready = append(e.ready[:w], e.wake...)
-			if rp != nil {
-				// Every latency and DII is ≥ 1 (machine.New enforces
-				// it), so an issue never frees a unit nor wakes a
-				// successor within its own cycle: a second pass cannot
-				// issue anything. The full path keeps the extra pass to
-				// mirror sched.List literally; it issues nothing and
-				// its re-sort changes no decision.
-				break
-			}
-			if issuedAny {
-				sort.Sort(e.sorter)
+				rs.Park(s, ev)
 			}
 		}
 	}
 	return L, nil
 }
 
-// moveEndpoints returns the source and destination clusters of virtual
-// move k: the destination is its own cluster, the source its single
-// producer's.
-func (e *Evaluator) moveEndpoints(k int32) (src, dst int32) {
-	return e.vCluster[e.preds[e.predStart[k]]], e.vCluster[k]
+func stalled(cycle int32) error {
+	return fmt.Errorf("problem: no progress by cycle %d; resource model inconsistent", cycle)
 }
 
-// reserveMove books the interconnect channels move k needs to issue at
-// cycle and returns the global unit index of its first hop, or -1
-// leaving no state touched when some hop's link is full. Hop h occupies
+// reserve books the unit node k needs to issue at cycle, reporting
+// false — with no state touched — when none is free: the unit of its
+// pool whose next-free time is smallest, as sched.List picks it.
+func (e *Evaluator) reserve(k, cycle int32) bool {
+	pk := e.vPool[k]
+	if pk < 0 {
+		return e.reserveRoute(k, cycle)
+	}
+	pool := e.pool(pk)
+	u := freeUnit32(pool, cycle)
+	if u < 0 {
+		return false
+	}
+	pool[u] = cycle + e.diiOf(k)
+	return true
+}
+
+// reserveRoute books the channels of a multi-hop move k. Hop h occupies
 // one channel of its link during [cycle+h·MoveLat, +MoveDII) —
-// store-and-forward, mirroring sched.List. Single-hop routes (every
-// route on bus and p2p machines, and all of them on rings of up to
-// three clusters) take the exact pre-interconnect fast path: one
-// freeUnit32 probe and commit against the link's slice of unitFree,
-// which for the shared bus is the whole legacy bus pool.
-func (e *Evaluator) reserveMove(k, cycle int32) int32 {
+// store-and-forward, mirroring sched.List. All hops reserve together or
+// not at all; shortest-path routes never repeat a link, so the
+// feasibility probes are independent. A move's source is its single
+// producer's cluster.
+func (e *Evaluator) reserveRoute(k, cycle int32) bool {
 	p := e.p
-	src, dst := e.moveEndpoints(k)
-	route := p.routeOf(src, dst)
-	if len(route) == 1 {
-		l := route[0]
-		base := p.busOff + p.linkOff[l]
-		pool := e.unitFree[base : base+p.linkCap[l]]
-		u := freeUnit32(pool, cycle)
-		if u < 0 {
-			return -1
-		}
-		pool[u] = cycle + p.moveDII
-		return base + int32(u)
-	}
-	// All hops reserve together or not at all; shortest-path routes never
-	// repeat a link, so the feasibility probes are independent.
+	route := p.routeOf(e.vCluster[e.preds[e.predStart[k]]], e.vCluster[k])
 	for h, l := range route {
-		base := p.busOff + p.linkOff[l]
-		if freeUnit32(e.unitFree[base:base+p.linkCap[l]], cycle+int32(h)*p.moveLat) < 0 {
-			return -1
+		if freeUnit32(e.pool(p.fuKeys+l), cycle+int32(h)*p.moveLat) < 0 {
+			return false
 		}
 	}
-	ch := int32(-1)
 	for h, l := range route {
-		base := p.busOff + p.linkOff[l]
-		pool := e.unitFree[base : base+p.linkCap[l]]
+		pool := e.pool(p.fuKeys + l)
 		at := cycle + int32(h)*p.moveLat
-		u := freeUnit32(pool, at)
-		pool[u] = at + p.moveDII
-		if h == 0 {
-			ch = base + int32(u)
-		}
+		pool[freeUnit32(pool, at)] = at + p.moveDII
 	}
-	return ch
+	return true
+}
+
+// pool returns the next-free cycles of pool key pk's units.
+func (e *Evaluator) pool(pk int32) []int32 {
+	off := e.p.poolOff[pk]
+	return e.unitFree[off : off+e.p.poolLen[pk]]
 }
 
 // freeUnit32 is sched.List's unit selection: the unit free at the cycle

@@ -47,33 +47,27 @@ type Problem struct {
 	preds     []int32
 
 	// Analysis of the original graph under dp's latency model.
-	lcp    int      // critical path L_CP
+	lcp    int        // critical path L_CP
 	times  *dfg.Times // ASAP/ALAP at the critical path
-	height []int32  // longest path (in latency) from each node to any sink
+	height []int32    // longest path (in latency) from each node to any sink
 
-	// Functional-unit pool layout: compute units of cluster c and FU
-	// type t occupy poolOff[c*NumFUTypes+t] .. +poolLen[...]; the
-	// interconnect channels sit at busOff, partitioned by link (channels
-	// of link l start at busOff+linkOff[l] and are linkCap[l] wide — on
-	// the shared bus that single partition is the whole legacy bus
-	// pool). unitPoolLen is the total pool size an Evaluator's scratch
-	// must hold.
+	// Unit pool layout: pool key c*NumFUTypes+t holds the compute units
+	// of cluster c and FU type t, and key fuKeys+l the channels of
+	// interconnect link l (on the shared bus, that one link's pool is
+	// the whole legacy bus pool). Pool k occupies unitFree slots
+	// poolOff[k] .. poolOff[k]+poolLen[k] of an Evaluator's scratch,
+	// unitPoolLen slots in all.
 	poolOff     []int32
 	poolLen     []int32
-	busOff      int32
+	fuKeys      int32
 	unitPoolLen int
 	numBuses    int32
-	linkOff     []int32
-	linkCap     []int32
 
 	// Flattened route table: a transfer from cluster src to dst hops
 	// across routeLinks[routeStart[k]:routeStart[k+1]], k = src*clusters
-	// +dst. multiHop marks machines where some route exceeds one hop;
-	// incremental snapshots refuse those (see Snapshot.Capture) and the
-	// engine falls back to full evaluation.
+	// +dst.
 	routeStart []int32
 	routeLinks []int32
-	multiHop   bool
 
 	moveLat, moveDII int32
 	// baseWork is Σ (dii+lat) over the original nodes — the move-free part
@@ -164,8 +158,9 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 	}
 
 	// Pool layout for the virtual scheduler.
-	p.poolOff = make([]int32, p.clusters*dfg.NumFUTypes)
-	p.poolLen = make([]int32, p.clusters*dfg.NumFUTypes)
+	p.fuKeys = int32(p.clusters * dfg.NumFUTypes)
+	p.poolOff = make([]int32, int(p.fuKeys)+dp.NumLinks())
+	p.poolLen = make([]int32, int(p.fuKeys)+dp.NumLinks())
 	off := int32(0)
 	for c := 0; c < p.clusters; c++ {
 		for t := 1; t < dfg.NumFUTypes; t++ {
@@ -179,15 +174,12 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 			off += p.poolLen[k]
 		}
 	}
-	p.busOff = off
+	for l := 0; l < dp.NumLinks(); l++ {
+		p.poolOff[int(p.fuKeys)+l] = off + int32(dp.LinkOffset(l))
+		p.poolLen[int(p.fuKeys)+l] = int32(dp.LinkCapacity(l))
+	}
 	p.unitPoolLen = int(off) + dp.NumBuses()
 	p.numBuses = int32(dp.NumBuses())
-	p.linkOff = make([]int32, dp.NumLinks())
-	p.linkCap = make([]int32, dp.NumLinks())
-	for l := 0; l < dp.NumLinks(); l++ {
-		p.linkOff[l] = int32(dp.LinkOffset(l))
-		p.linkCap[l] = int32(dp.LinkCapacity(l))
-	}
 	p.routeStart = make([]int32, p.clusters*p.clusters+1)
 	for src := 0; src < p.clusters; src++ {
 		for dst := 0; dst < p.clusters; dst++ {
@@ -199,7 +191,6 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		}
 	}
 	p.routeStart[p.clusters*p.clusters] = int32(len(p.routeLinks))
-	p.multiHop = dp.MultiHop()
 	return p, nil
 }
 

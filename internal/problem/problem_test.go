@@ -1,8 +1,7 @@
 package problem
 
 import (
-	"fmt"
-	"math/rand"
+	"runtime"
 	"testing"
 
 	"vliwbind/internal/dfg"
@@ -10,138 +9,6 @@ import (
 	"vliwbind/internal/machine"
 	"vliwbind/internal/sched"
 )
-
-// diffDatapaths spans the shapes that stress the evaluator differently:
-// the paper's homogeneous machine, a heterogeneous one (clusters that
-// cannot run multiplies), a single-bus machine (bus contention), and a
-// pipelined-multiplier one (lat ≠ dii on one FU type plus a 2-cycle bus).
-var diffDatapaths = []*machine.Datapath{
-	machine.MustParse("[2,1|2,1]", machine.Config{}),
-	machine.MustParse("[2,1|1,1|1,0]", machine.Config{}),
-	machine.MustParse("[1,1|1,1]", machine.Config{NumBuses: 1}),
-	machine.MustParse("[2,1|2,1]", machine.Config{Mul: machine.ResourceSpec{Lat: 3, DII: 1}, MoveLat: 2}),
-}
-
-// checkAgainstMaterialized asserts that the virtual evaluation of bn
-// agrees with BuildBound + sched.List on every observable the binding
-// algorithms consume: L, M, the full Q_U vector, and the per-bound-node
-// start cycles.
-func checkAgainstMaterialized(t *testing.T, ev *Evaluator, bn []int) {
-	t.Helper()
-	p := ev.Problem()
-	got, err := ev.Evaluate(bn)
-
-	bg, bb, berr := BuildBound(p.Graph(), bn)
-	var s *sched.Schedule
-	if berr == nil {
-		s, berr = sched.List(bg, p.Datapath(), bb)
-	}
-	if (err == nil) != (berr == nil) {
-		t.Fatalf("binding %v: virtual err=%v, materialized err=%v", bn, err, berr)
-	}
-	if err != nil {
-		return
-	}
-	if got.L != s.L || got.M != bg.NumMoves() {
-		t.Fatalf("binding %v: virtual (L=%d, M=%d), materialized (L=%d, M=%d)",
-			bn, got.L, got.M, s.L, bg.NumMoves())
-	}
-	if ev.NumBoundNodes() != bg.NumNodes() {
-		t.Fatalf("binding %v: %d virtual bound nodes, %d materialized", bn, ev.NumBoundNodes(), bg.NumNodes())
-	}
-	wantQU := append([]int{s.L}, s.CompletionProfile(0)...)
-	gotQU := ev.AppendQualityU(nil)
-	if len(gotQU) != len(wantQU) {
-		t.Fatalf("binding %v: Q_U length %d vs %d", bn, len(gotQU), len(wantQU))
-	}
-	for i := range wantQU {
-		if gotQU[i] != wantQU[i] {
-			t.Fatalf("binding %v: Q_U[%d] = %d, want %d (got %v want %v)",
-				bn, i, gotQU[i], wantQU[i], gotQU, wantQU)
-		}
-	}
-	starts := ev.AppendStarts(nil)
-	for id, want := range s.Start {
-		if starts[id] != want {
-			t.Fatalf("binding %v: bound node %d (%s) starts at %d, want %d",
-				bn, id, bg.Node(id).Name(), starts[id], want)
-		}
-	}
-}
-
-// TestEvaluatorMatchesMaterialized is the package's central differential
-// test: on every benchmark kernel × datapath shape, a few hundred random
-// bindings must evaluate bit-identically through the virtual path and
-// the materialized BuildBound + sched.List path, reusing one Evaluator
-// throughout (so scratch reuse bugs cannot hide).
-func TestEvaluatorMatchesMaterialized(t *testing.T) {
-	for _, k := range kernels.All() {
-		g := k.Build()
-		for di, dp := range diffDatapaths {
-			t.Run(fmt.Sprintf("%s/dp%d", k.Name, di), func(t *testing.T) {
-				p, err := New(g, dp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev := p.NewEvaluator()
-				rng := rand.New(rand.NewSource(int64(di)*1000 + int64(g.NumNodes())))
-				trials := 60
-				if testing.Short() {
-					trials = 10
-				}
-				bn := make([]int, g.NumNodes())
-				for trial := 0; trial < trials; trial++ {
-					for _, n := range g.Nodes() {
-						ts := dp.TargetSet(n.Op())
-						bn[n.ID()] = ts[rng.Intn(len(ts))]
-					}
-					checkAgainstMaterialized(t, ev, bn)
-				}
-				// Degenerate corners: everything on one cluster (no moves),
-				// and a maximally split binding.
-				for _, n := range g.Nodes() {
-					bn[n.ID()] = dp.TargetSet(n.Op())[0]
-				}
-				checkAgainstMaterialized(t, ev, bn)
-				for _, n := range g.Nodes() {
-					ts := dp.TargetSet(n.Op())
-					bn[n.ID()] = ts[n.ID()%len(ts)]
-				}
-				checkAgainstMaterialized(t, ev, bn)
-			})
-		}
-	}
-}
-
-// TestEvaluatorMatchesOnRandomGraphs widens the differential net beyond
-// the benchmark suite: synthetic DAGs of varying shape and size.
-func TestEvaluatorMatchesOnRandomGraphs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential sweep skipped with -short")
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		g := kernels.Random(kernels.RandomConfig{
-			Ops:      10 + int(seed)*7,
-			Locality: 0.3 + float64(seed%3)*0.3,
-			Seed:     seed,
-		})
-		dp := diffDatapaths[int(seed)%len(diffDatapaths)]
-		p, err := New(g, dp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := p.NewEvaluator()
-		rng := rand.New(rand.NewSource(seed))
-		bn := make([]int, g.NumNodes())
-		for trial := 0; trial < 20; trial++ {
-			for _, n := range g.Nodes() {
-				ts := dp.TargetSet(n.Op())
-				bn[n.ID()] = ts[rng.Intn(len(ts))]
-			}
-			checkAgainstMaterialized(t, ev, bn)
-		}
-	}
-}
 
 // TestEvaluatorRejectsBadBindings pins the validation behavior the
 // binding algorithms rely on.
@@ -283,5 +150,42 @@ func TestMaterializeAgreesWithEvaluate(t *testing.T) {
 	}
 	if err := sched.Check(s); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvaluateAllocatesNothing: NewEvaluator sizes every piece of
+// scratch for the problem's worst case, so no Evaluate allocates — not
+// the first, nor one whose schedule is longer than any before it.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	g := kernels.All()[0].Build()
+	for _, spec := range []string{"[3,1|2,2|1,3]", "[1,1|1,1|1,1|1,1]@ring:1"} {
+		dp, err := machine.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := Must(g, dp).NewEvaluator()
+		// Everything on one cluster first (short, move-free), then ever
+		// more scattered bindings with more moves and longer schedules.
+		bns := make([][]int, dp.NumClusters())
+		for r := range bns {
+			bns[r] = make([]int, g.NumNodes())
+			for _, n := range g.Nodes() {
+				ts := dp.TargetSet(n.Op())
+				bns[r][n.ID()] = ts[(n.ID()*r)%len(ts)]
+			}
+		}
+		starts := make([]int, 0, 4*g.NumNodes())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, bn := range bns {
+			if _, err := ev.Evaluate(bn); err != nil {
+				t.Fatal(err)
+			}
+			starts = ev.AppendStarts(starts[:0])
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: %d allocations over %d evaluations on a fresh evaluator", spec, n, len(bns))
+		}
 	}
 }

@@ -15,6 +15,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
@@ -63,6 +64,14 @@ type Set struct {
 	// committed dedups transfers by (producer, destination cluster): a
 	// value moved to a cluster once is available to every consumer there.
 	committed map[[2]int]bool
+
+	// BusCost scratch, reused across calls (a Set serves one binding run
+	// on one goroutine): tent[l][tau] accumulates the tentative load of
+	// the transfers under test, touched lists the cells written, seen
+	// the (producer, destination) pairs already counted.
+	tent    [][]float64
+	touched [][2]int
+	seen    [][2]int
 }
 
 // New builds the profile set for graph g on datapath dp with load-profile
@@ -85,8 +94,10 @@ func New(g *dfg.Graph, dp *machine.Datapath, lpr int) (*Set, error) {
 		bus:       make([][]float64, dp.NumLinks()),
 		committed: make(map[[2]int]bool),
 	}
+	s.tent = make([][]float64, dp.NumLinks())
 	for l := range s.bus {
 		s.bus[l] = make([]float64, times.L)
+		s.tent[l] = make([]float64, times.L)
 	}
 	for t := 1; t < dfg.NumFUTypes; t++ {
 		s.central[t] = make([]float64, s.L)
@@ -190,7 +201,8 @@ func (s *Set) FUCost(v *dfg.Node, c int) int {
 // given new transfers: the number of profile steps at which the bus load,
 // including the tentative transfers, exceeds full utilization. Transfers
 // already committed for the same (producer, destination) pair are skipped,
-// mirroring move dedup in the bound graph.
+// mirroring move dedup in the bound graph. It works in scratch held by
+// the Set, so one Set must not serve concurrent calls.
 func (s *Set) BusCost(trs []Transfer) int {
 	if s.dp.NumBuses() == 0 {
 		if len(trs) == 0 {
@@ -198,14 +210,13 @@ func (s *Set) BusCost(trs []Transfer) int {
 		}
 		return s.L + 1
 	}
-	tentative := make(map[[2]int]float64)
-	seen := make(map[[2]int]bool, len(trs))
+	s.touched, s.seen = s.touched[:0], s.seen[:0]
 	for _, tr := range trs {
 		key := [2]int{tr.Prod.ID(), tr.Dest}
-		if s.committed[key] || seen[key] {
+		if s.committed[key] || slices.Contains(s.seen, key) {
 			continue
 		}
-		seen[key] = true
+		s.seen = append(s.seen, key)
 		lo, hi, w := s.transferFrame(tr)
 		for h, l := range s.transferRoute(tr) {
 			chans := float64(s.dp.LinkCapacity(l))
@@ -215,15 +226,19 @@ func (s *Set) BusCost(trs []Transfer) int {
 				if at >= s.L {
 					at = s.L - 1
 				}
-				tentative[[2]int{l, at}] += w / chans
+				if s.tent[l][at] == 0 { // every weight is positive
+					s.touched = append(s.touched, [2]int{l, at})
+				}
+				s.tent[l][at] += w / chans
 			}
 		}
 	}
 	cost := 0
-	for k, add := range tentative {
-		if s.bus[k[0]][k[1]]+add > 1+eps {
+	for _, k := range s.touched {
+		if s.bus[k[0]][k[1]]+s.tent[k[0]][k[1]] > 1+eps {
 			cost++
 		}
+		s.tent[k[0]][k[1]] = 0
 	}
 	return cost
 }

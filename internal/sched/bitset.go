@@ -4,15 +4,13 @@ import "fmt"
 
 // BitMatrix is a dense bitset over (row, column) pairs, used as the
 // per-unit × per-cycle resource-occupancy mirror of a schedule: row u,
-// column c is set while concrete unit u is busy in cycle c. It exists
-// for the callers that interrogate occupancy many times per schedule —
-// the legality checker below and the incremental-evaluation snapshots in
-// internal/problem — where a bit probe beats a map lookup and the whole
-// table resets in O(words).
+// column c is set while concrete unit u is busy in cycle c. Check
+// interrogates occupancy once per operation and hop, where a bit probe
+// beats a map lookup and the whole table resets in O(words).
 //
 // The zero value is an empty matrix; Reset sizes (and re-sizes) it while
-// reusing the underlying storage, so a matrix recycled across snapshots
-// allocates only when it grows.
+// reusing the underlying storage, so a recycled matrix allocates only
+// when it grows.
 type BitMatrix struct {
 	rows, cols int
 	stride     int // words per row

@@ -46,8 +46,8 @@ func TestBitMatrixSetRangeClash(t *testing.T) {
 }
 
 // TestBitMatrixResetReuses checks that Reset clears prior contents and
-// only grows storage, never keeps stale bits — the property snapshot
-// recycling depends on.
+// only grows storage, never keeps stale bits — the property a recycled
+// matrix depends on.
 func TestBitMatrixResetReuses(t *testing.T) {
 	var m BitMatrix
 	m.Reset(4, 100)

@@ -128,35 +128,3 @@ func TestUnroutableMove(t *testing.T) {
 		t.Fatal("unroutable move scheduled")
 	}
 }
-
-// TestScalarRefDifferential is the package-level slice of the shared-bus
-// bit-identity proof: on bus machines, the route-aware List and the
-// frozen pre-interconnect ListScalarRef must produce deeply equal
-// schedules (same starts, units, finishes and profile). The full
-// five-binder sweep version lives in internal/expt.
-func TestScalarRefDifferential(t *testing.T) {
-	mg, _ := moveGraph(t)
-	cases := []struct {
-		g       *dfg.Graph
-		dp      *machine.Datapath
-		binding []int
-	}{
-		{chainGraph(7), machine.MustParse("[1,1]", machine.Config{NumBuses: 1}), zeros(7)},
-		{wideGraph(9), machine.MustParse("[3,1]", machine.Config{NumBuses: 2}), zeros(9)},
-		{mg, machine.MustParse("[1,1|1,1]", machine.Config{NumBuses: 1}), []int{0, 1, 1}},
-		{mg, machine.MustParse("[1,1|1,1]", machine.Config{NumBuses: 3, MoveLat: 2}), []int{0, 1, 1}},
-	}
-	for i, tc := range cases {
-		got, err := List(tc.g, tc.dp, tc.binding)
-		if err != nil {
-			t.Fatalf("case %d List: %v", i, err)
-		}
-		want, err := ListScalarRef(tc.g, tc.dp, tc.binding)
-		if err != nil {
-			t.Fatalf("case %d ListScalarRef: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("case %d: route-aware schedule diverged from the scalar reference\ngot:  %+v\nwant: %+v", i, got, want)
-		}
-	}
-}

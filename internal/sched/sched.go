@@ -1,15 +1,14 @@
 // Package sched implements a cluster-aware, resource-constrained list
 // scheduler for bound dataflow graphs, plus a schedule legality checker and
-// a text Gantt renderer. Both binding algorithms in this repository
-// (internal/bind and internal/pcc) use it to evaluate candidate bindings:
-// the schedule latency L it produces is the paper's primary figure of
-// merit, and its completion profile supplies the Q_U quality vector of
-// Section 3.2.
+// a text Gantt renderer. Its ready list, ReadySet, is also the core of
+// problem.Evaluator, the allocation-free twin every binder scores
+// candidate bindings with: the schedule latency L is the paper's primary
+// figure of merit, and the completion profile supplies the Q_U quality
+// vector of Section 3.2.
 package sched
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -126,7 +125,8 @@ func (s *Schedule) CompletionProfile(depth int) []int {
 // binding. binding[id] gives the cluster of each node; for moves it names
 // the destination cluster. Priorities follow the paper's ranking: ALAP
 // level first, then mobility, then consumer count, with node ID as the
-// deterministic tiebreak.
+// deterministic tiebreak. The ranking is computed once and the ready
+// list kept as a ReadySet, the core problem.Evaluator shares.
 func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) {
 	if len(binding) != g.NumNodes() {
 		return nil, fmt.Errorf("sched: binding has %d entries for %d nodes", len(binding), g.NumNodes())
@@ -169,20 +169,6 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 	}
 	times := dfg.AnalyzeNodes(g, latOf, 0)
 	nodes := g.Nodes()
-	// prio sorts candidate nodes for each cycle; smaller is more urgent.
-	less := func(a, b *dfg.Node) bool {
-		if times.ALAP[a.ID()] != times.ALAP[b.ID()] {
-			return times.ALAP[a.ID()] < times.ALAP[b.ID()]
-		}
-		ma, mb := times.Mobility(a), times.Mobility(b)
-		if ma != mb {
-			return ma < mb
-		}
-		if a.NumConsumers() != b.NumConsumers() {
-			return a.NumConsumers() > b.NumConsumers()
-		}
-		return a.ID() < b.ID()
-	}
 
 	s := &Schedule{
 		Graph:    g,
@@ -219,123 +205,130 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 		return chanFree[off : off+dp.LinkCapacity(l)]
 	}
 
-	unscheduled := len(nodes)
-	pendingPreds := make([]int, len(nodes))
-	ready := make([]*dfg.Node, 0, len(nodes))
-	// earliest[id] is the data-ready cycle of a node whose preds have all
-	// been scheduled. Spill reloads (OpLoad) are additionally held back
-	// to their ALAP level — reloading as late as dependences allow is
-	// what makes a spill actually shorten its value's register residency.
-	earliest := make([]int, len(nodes))
-	for _, n := range nodes {
-		pendingPreds[n.ID()] = len(n.Preds())
-		if pendingPreds[n.ID()] == 0 {
-			if n.Op() == dfg.OpLoad {
-				earliest[n.ID()] = times.ALAP[n.ID()]
-			}
-			ready = append(ready, n)
-		}
-	}
-
 	// Deterministic stall guard bound: every op eventually issues because
 	// each has at least one supporting unit (and every move a nonempty
 	// route), so the schedule length is bounded by the critical path plus
 	// the sum of all per-hop dii and latency values.
 	work := 0
-	for _, n := range g.Nodes() {
+	for _, n := range nodes {
 		if n.IsMove() {
 			work += len(routes[n.ID()]) * (moveDII + moveLat)
 		} else {
 			work += dp.DII(n.Op()) + dp.Latency(n.Op())
 		}
 	}
-	for cycle := 0; unscheduled > 0; cycle++ {
-		if cycle > times.L+work+1 {
-			return nil, fmt.Errorf("sched: no progress by cycle %d; resource model inconsistent", cycle)
+	bound := times.L + work + 1
+
+	// Rank every node once; the ready set then yields ready nodes in
+	// priority order each cycle. Sources wait for cycle 0 — spill reloads
+	// (OpLoad) for their ALAP level instead: reloading as late as
+	// dependences allow is what makes a spill actually shorten its
+	// value's register residency.
+	keys := make([]int32, 3*len(nodes))
+	asap, alap, cons := keys[:len(nodes)], keys[len(nodes):2*len(nodes)], keys[2*len(nodes):]
+	pendingPreds := make([]int, len(nodes))
+	for _, n := range nodes {
+		id := n.ID()
+		asap[id], alap[id] = int32(times.ASAP[id]), int32(times.ALAP[id])
+		cons[id] = int32(n.NumConsumers())
+		pendingPreds[id] = len(n.Preds())
+	}
+	var rs ReadySet
+	rs.Reset(len(nodes), bound)
+	rs.Rank(asap, alap, cons)
+	for _, n := range nodes {
+		if pendingPreds[n.ID()] == 0 {
+			at := 0
+			if n.Op() == dfg.OpLoad {
+				at = times.ALAP[n.ID()]
+			}
+			rs.Park(int32(n.ID()), int32(at))
 		}
-		sort.SliceStable(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-		issuedAny := true
-		for issuedAny {
-			issuedAny = false
-			var rest, newlyReady []*dfg.Node
-			for _, n := range ready {
-				if earliest[n.ID()] > cycle {
-					rest = append(rest, n)
+	}
+
+	// One issuing pass per cycle suffices: every latency and DII is ≥ 1
+	// (machine.New enforces it), so an issue neither frees a unit nor
+	// readies a successor within its own cycle.
+	stalled := func(cycle int) error {
+		return fmt.Errorf("sched: no progress by cycle %d; resource model inconsistent", cycle)
+	}
+	for cycle, unscheduled := 0, len(nodes); unscheduled > 0; cycle++ {
+		if cycle > bound {
+			return nil, stalled(cycle)
+		}
+		if cycle = int(rs.Advance(int32(cycle))); cycle < 0 {
+			return nil, stalled(bound)
+		}
+		for r := rs.Next(0); r >= 0; r = rs.Next(r + 1) {
+			n := g.Node(int(rs.Node(r)))
+			if n.IsMove() {
+				route := routes[n.ID()]
+				// Hop h occupies a channel of link route[h] during
+				// [cycle+h·MoveLat, +MoveDII) — store-and-forward with
+				// no stop-over in intermediate register files. All hops
+				// reserve together or not at all; shortest-path routes
+				// never repeat a link, so the per-hop feasibility
+				// probes are independent.
+				ok := true
+				for h, l := range route {
+					if freeUnit(linkPool(l), cycle+h*moveLat) < 0 {
+						ok = false
+						break
+					}
+				}
+				if !ok {
 					continue
 				}
-				if n.IsMove() {
-					route := routes[n.ID()]
-					// Hop h occupies a channel of link route[h] during
-					// [cycle+h·MoveLat, +MoveDII) — store-and-forward with
-					// no stop-over in intermediate register files. All hops
-					// reserve together or not at all; shortest-path routes
-					// never repeat a link, so the per-hop feasibility
-					// probes are independent.
-					ok := true
-					for h, l := range route {
-						if freeUnit(linkPool(l), cycle+h*moveLat) < 0 {
-							ok = false
-							break
-						}
+				for h, l := range route {
+					pool := linkPool(l)
+					at := cycle + h*moveLat
+					u := freeUnit(pool, at)
+					pool[u] = at + moveDII
+					ch := dp.LinkOffset(l) + u
+					if h == 0 {
+						s.Unit[n.ID()] = ch
 					}
-					if !ok {
-						rest = append(rest, n)
-						continue
-					}
-					for h, l := range route {
-						pool := linkPool(l)
-						at := cycle + h*moveLat
-						u := freeUnit(pool, at)
-						pool[u] = at + moveDII
-						ch := dp.LinkOffset(l) + u
-						if h == 0 {
-							s.Unit[n.ID()] = ch
+					if len(route) > 1 {
+						if s.HopUnits == nil {
+							s.HopUnits = make([][]int, len(nodes))
 						}
-						if len(route) > 1 {
-							if s.HopUnits == nil {
-								s.HopUnits = make([][]int, len(nodes))
-							}
-							s.HopUnits[n.ID()] = append(s.HopUnits[n.ID()], ch)
-						}
-					}
-				} else {
-					pool := unitFree[binding[n.ID()]][n.FUType()]
-					u := freeUnit(pool, cycle)
-					if u < 0 {
-						rest = append(rest, n)
-						continue
-					}
-					pool[u] = cycle + dp.DII(n.Op())
-					s.Unit[n.ID()] = u
-				}
-				s.Start[n.ID()] = cycle
-				fin := cycle + latOf(n)
-				s.finish[n.ID()] = fin
-				if fin > s.L {
-					s.L = fin
-				}
-				unscheduled--
-				issuedAny = true
-				for _, succ := range n.Succs() {
-					pendingPreds[succ.ID()]--
-					if pendingPreds[succ.ID()] == 0 {
-						e := 0
-						for _, p := range succ.Preds() {
-							if f := s.Start[p.ID()] + latOf(p); f > e {
-								e = f
-							}
-						}
-						if succ.Op() == dfg.OpLoad && times.ALAP[succ.ID()] > e {
-							e = times.ALAP[succ.ID()]
-						}
-						earliest[succ.ID()] = e
-						newlyReady = append(newlyReady, succ)
+						s.HopUnits[n.ID()] = append(s.HopUnits[n.ID()], ch)
 					}
 				}
+			} else {
+				pool := unitFree[binding[n.ID()]][n.FUType()]
+				u := freeUnit(pool, cycle)
+				if u < 0 {
+					continue
+				}
+				pool[u] = cycle + dp.DII(n.Op())
+				s.Unit[n.ID()] = u
 			}
-			ready = append(rest, newlyReady...)
-			if issuedAny {
-				sort.SliceStable(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
+			rs.Remove(r)
+			s.Start[n.ID()] = cycle
+			fin := cycle + latOf(n)
+			s.finish[n.ID()] = fin
+			if fin > s.L {
+				s.L = fin
+			}
+			unscheduled--
+			for _, succ := range n.Succs() {
+				pendingPreds[succ.ID()]--
+				if pendingPreds[succ.ID()] == 0 {
+					e := 0
+					for _, p := range succ.Preds() {
+						if f := s.Start[p.ID()] + latOf(p); f > e {
+							e = f
+						}
+					}
+					if succ.Op() == dfg.OpLoad && times.ALAP[succ.ID()] > e {
+						e = times.ALAP[succ.ID()]
+					}
+					if e > bound {
+						return nil, stalled(bound + 1)
+					}
+					rs.Park(int32(succ.ID()), int32(e))
+				}
 			}
 		}
 	}
@@ -461,8 +454,7 @@ func Check(s *Schedule) error {
 	// [start, start+dii-1]; no other node may hold the same unit in any of
 	// those cycles. With unit indices validated against pool sizes above,
 	// per-unit exclusivity subsumes the aggregate per-type capacity bound.
-	// Occupancy is tracked in a dense per-unit × per-cycle bitset — the
-	// same resource mirror incremental evaluation snapshots use — so a
+	// Occupancy is tracked in a dense per-unit × per-cycle bitset, so a
 	// clash probe is one masked word test instead of a map lookup.
 	rowOf, rows := unitRows(dp)
 	moveLat := dp.MoveLat()

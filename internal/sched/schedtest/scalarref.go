@@ -1,4 +1,4 @@
-package sched
+package schedtest
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
+	"vliwbind/internal/sched"
 )
 
 // ListScalarRef is the pre-interconnect list scheduler, frozen verbatim
@@ -13,12 +14,12 @@ import (
 // one scalar pool of NumBuses() interchangeable channels and always
 // take lat(move), with no notion of links or routes. It exists for one
 // purpose — the differential proof that the shared-bus fast path of the
-// route-aware List is bit-identical to the legacy behavior (see the
-// five-binder sweep in internal/expt) — and is only meaningful on
+// route-aware List is bit-identical to the legacy behavior (see
+// TestSharedBusMatchesScalarReference) — and is only meaningful on
 // machines whose topology is TopoBus, where "a channel" and "a channel
 // of the one shared link" coincide. Do not fix or improve this copy;
 // its value is that it does not change.
-func ListScalarRef(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) {
+func ListScalarRef(g *dfg.Graph, dp *machine.Datapath, binding []int) (*sched.Schedule, error) {
 	if len(binding) != g.NumNodes() {
 		return nil, fmt.Errorf("sched: binding has %d entries for %d nodes", len(binding), g.NumNodes())
 	}
@@ -55,17 +56,15 @@ func ListScalarRef(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule
 		return a.ID() < b.ID()
 	}
 
-	s := &Schedule{
+	s := &sched.Schedule{
 		Graph:    g,
 		Datapath: dp,
 		Start:    make([]int, len(nodes)),
 		Cluster:  append([]int(nil), binding...),
 		Unit:     make([]int, len(nodes)),
-		finish:   make([]int, len(nodes)),
 	}
 	for i := range s.Start {
 		s.Start[i] = -1
-		s.finish[i] = -1
 	}
 
 	unitFree := make([][][]int, dp.NumClusters())
@@ -128,7 +127,6 @@ func ListScalarRef(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule
 				s.Start[n.ID()] = cycle
 				s.Unit[n.ID()] = u
 				fin := cycle + dp.Latency(n.Op())
-				s.finish[n.ID()] = fin
 				if fin > s.L {
 					s.L = fin
 				}
@@ -157,6 +155,5 @@ func ListScalarRef(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule
 			}
 		}
 	}
-	s.profile = s.computeProfile()
 	return s, nil
 }

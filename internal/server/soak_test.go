@@ -42,9 +42,9 @@ func soakJob(i int) (body string, clientTimeout time.Duration) {
 		// Malformed: unknown kernel → 400 failed.
 		return `{"kernel":"NoSuchKernel","dp":"[2,1|2,1]"}`, 0
 	case 5:
-		// Explicit budget far below DCT-DIT-2's improvement phase →
-		// 200 degraded (audited anytime result).
-		return `{"kernel":"DCT-DIT-2","dp":"[2,1|2,1]","deadline_ms":20000,"budget_ms":60}`, 0
+		// Explicit budget far below DCT-DIT-2's improvement phase on six
+		// clusters → 200 degraded (audited anytime result).
+		return `{"kernel":"DCT-DIT-2","dp":"[1,1|1,1|1,1|1,1|1,1|1,1]","deadline_ms":20000,"budget_ms":60}`, 0
 	case 7:
 		// Deadline below the minimum certifiable budget → 429 rejected.
 		return `{"kernel":"EWF","dp":"[2,1|2,1]","deadline_ms":1}`, 0

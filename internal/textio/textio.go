@@ -26,10 +26,15 @@ import (
 	"vliwbind/internal/dfg"
 )
 
-// Parse reads one graph in the text format.
+// maxLineBytes caps the length of one input line.
+const maxLineBytes = 1 << 20
+
+// Parse reads one graph in the text format. Its line buffer starts at the
+// scanner's 4 KiB and grows only when a line needs it, up to maxLineBytes;
+// a longer line is an error.
 func Parse(r io.Reader) (*dfg.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLineBytes)
 	var b *dfg.Builder
 	vals := make(map[string]dfg.Value)
 	var outs []string

@@ -1,6 +1,9 @@
 package textio
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -245,5 +248,30 @@ func TestSpillOpsRoundTrip(t *testing.T) {
 	}
 	if out[0] != 8 { // (2+3) stored/loaded, +3
 		t.Errorf("spilled round trip computes %v, want 8", out[0])
+	}
+}
+
+// TestLongLines pins the line cap: the scanner's buffer grows on demand,
+// so a 200 KiB line still parses, while a line past maxLineBytes is an
+// error rather than a silently truncated graph.
+func TestLongLines(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("dfg wide\nin")
+	n := 0
+	for ; in.Len() < 200<<10; n++ {
+		fmt.Fprintf(&in, " x%d", n)
+	}
+	fmt.Fprintf(&in, "\nop v1 add x0 x%d\nout v1\n", n-1)
+	g, err := ParseString(in.String())
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if g.NumOps() != 1 {
+		t.Errorf("parsed %d ops, want 1", g.NumOps())
+	}
+
+	long := "dfg big\n# " + strings.Repeat("a", maxLineBytes) + "\n"
+	if _, err := ParseString(long); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line over %d bytes: err = %v, want bufio.ErrTooLong", maxLineBytes, err)
 	}
 }

@@ -82,13 +82,23 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 		return order[i].ID() < order[j].ID()
 	})
 
-	// Resource occupancy bookkeeping: unit busy until cycle (exclusive).
+	// Functional units are booked in issue order, so one busy-until
+	// cycle (exclusive) per unit suffices.
 	type unitKey struct {
-		cluster int // -1 for bus
+		cluster int
 		fu      dfg.FUType
 		unit    int
 	}
 	busyUntil := make(map[unitKey]int)
+	// Interconnect channels are booked per cycle instead: a move books
+	// its later hops ahead of the issue order, and a hop of another move
+	// may still legally fit in front of them. chanHeld[ch][t] is the
+	// move hop holding channel ch in cycle t.
+	type hold struct {
+		move *dfg.Node
+		hop  int
+	}
+	chanHeld := make([][]hold, dp.NumBuses())
 
 	trace := &Trace{}
 	readArg := func(n *dfg.Node, v dfg.Value, c, cycle int) (float64, error) {
@@ -148,12 +158,20 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 					return nil, nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which is not on link %s",
 						n.Name(), h, ch, dp.LinkName(route[h]))
 				}
-				at := cycle + h*dp.MoveLat()
-				key := unitKey{-1, dfg.FUBus, ch}
-				if busyUntil[key] > at {
-					return nil, nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d (move %s hop %d)", ch, at, n.Name(), h)
+				if ch < 0 || ch >= len(chanHeld) {
+					return nil, nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which does not exist", n.Name(), h, ch)
 				}
-				busyUntil[key] = at + dp.MoveDII()
+				at := cycle + h*dp.MoveLat()
+				for t := at; t < at+dp.MoveDII(); t++ {
+					for len(chanHeld[ch]) <= t {
+						chanHeld[ch] = append(chanHeld[ch], hold{})
+					}
+					if prev := chanHeld[ch][t]; prev.move != nil {
+						return nil, nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d: move %s hop %d collides with move %s hop %d",
+							ch, t, n.Name(), h, prev.move.Name(), prev.hop)
+					}
+					chanHeld[ch][t] = hold{n, h}
+				}
 			}
 			vals[n.ID()] = x
 			availAt[dest][n.ID()] = cycle + lat

@@ -186,3 +186,47 @@ func TestTraceEventsComplete(t *testing.T) {
 		t.Errorf("trace has %d events for %d nodes", len(tr.Events), res.Bound.NumNodes())
 	}
 }
+
+// TestMultiHopRingSchedulesExecute pins the simulator's per-cycle
+// channel bookkeeping. On these four-cluster rings B-INIT and B-ITER
+// both produce legal schedules in which one move's second hop books a
+// channel a cycle ahead, while another move issued in the same cycle
+// uses that channel first (on the first machine: hop 1 of t5 holds
+// channel 2 in cycle 10, hop 0 of t13 in cycle 9). sched.Check and
+// Execute must both accept them, and the outputs must match the
+// reference evaluation.
+func TestMultiHopRingSchedulesExecute(t *testing.T) {
+	k, err := kernels.ByName("DCT-DIT-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := k.Build()
+	in := make([]float64, g.NumInputs())
+	for i := range in {
+		in[i] = float64((i*13)%9) - 4
+	}
+	for _, spec := range []string{"[2,1|1,0|1,0|0,1]@ring:1", "[2,0|2,0|0,1|0,1]@ring:1"} {
+		dp, err := machine.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []struct {
+			name string
+			run  func() (*bind.Result, error)
+		}{
+			{"b-init", func() (*bind.Result, error) { return bind.Initial(g, dp, bind.Options{}) }},
+			{"b-iter", func() (*bind.Result, error) { return bind.Bind(g, dp, bind.Options{}) }},
+		} {
+			res, err := algo.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", spec, algo.name, err)
+			}
+			if err := sched.Check(res.Schedule); err != nil {
+				t.Fatalf("%s %s: schedule illegal: %v", spec, algo.name, err)
+			}
+			if err := Verify(res.Schedule, in); err != nil {
+				t.Errorf("%s %s: %v", spec, algo.name, err)
+			}
+		}
+	}
+}
