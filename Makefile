@@ -1,17 +1,18 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet, full build, full test suite, and the race detector over the
-# packages with concurrency (the binding engine's worker pool and cache,
-# plus the scheduler it fans out over).
+# pass: vet and gofmt, full build, full test suite, and the race
+# detector over the packages with concurrency (the binding engine's
+# worker pool and cache, plus the scheduler it fans out over).
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-compare bench-parallel bench-alloc benchstat golden
+.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-compare bench-parallel benchstat golden
 
 check: vet build test race
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -130,19 +131,6 @@ bench-compare:
 # Sequential-vs-parallel engine comparison on the largest kernel.
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 3x .
-
-# Allocation gate: materialized bind.Evaluate vs problem.Evaluator on
-# the largest kernel (DCT-DIT-2), plus the routed-interconnect
-# evaluations. cmd/benchjson distills the runs and fails the target
-# unless the Evaluator's median allocs/op is zero on the shared bus, the
-# ring and point-to-point links.
-bench-alloc:
-	@mkdir -p .bench_build
-	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate' -benchmem -count 3 > .bench_build/bench-alloc.txt
-	@grep -E '^Benchmark' .bench_build/bench-alloc.txt
-	$(GO) run ./cmd/benchjson -o .bench_build/bench-alloc.json \
-		-zero BenchmarkEvaluateVirtual -zero BenchmarkEvaluateRing -zero BenchmarkEvaluateP2P \
-		.bench_build/bench-alloc.txt
 
 # Statistical comparison of the two evaluation paths. Needs the benchstat
 # tool on PATH (golang.org/x/perf/cmd/benchstat); falls back to printing

@@ -20,20 +20,6 @@ import (
 	"vliwbind/internal/sched"
 )
 
-// BuildBound converts an original graph plus a binding into the bound form
-// of Figure 1 in the paper: every dependence that crosses clusters gets an
-// explicit move operation. A value transferred to a cluster once is reused
-// by all consumers there (one move per producer/destination pair). It
-// returns the bound graph and the bound binding, where each move carries
-// its destination cluster.
-//
-// The construction itself lives in the problem package (the shared
-// evaluation core); this re-export keeps the binding algorithm's public
-// surface in one place.
-func BuildBound(g *dfg.Graph, binding []int) (*dfg.Graph, []int, error) {
-	return problem.BuildBound(g, binding)
-}
-
 // Result packages a complete binding solution: the per-node cluster
 // assignment on the original graph, the derived bound graph (with moves)
 // and its binding, and the evaluated schedule.
@@ -78,7 +64,7 @@ func (r *Result) Moves() int { return r.Bound.NumMoves() }
 // problem.Evaluator instead, which computes the same (L, M) without
 // building a graph or a schedule per call.
 func Evaluate(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Result, error) {
-	bg, bb, err := BuildBound(g, binding)
+	bg, bb, err := problem.BuildBound(g, binding)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/kernels"
 	"vliwbind/internal/machine"
+	"vliwbind/internal/problem"
 	"vliwbind/internal/sched"
 	"vliwbind/internal/vliwsim"
 )
@@ -161,7 +162,7 @@ func TestQuickMoveCountMatchesCrossEdges(t *testing.T) {
 				}
 			}
 		}
-		bound, _, err := BuildBound(g, bn)
+		bound, _, err := problem.BuildBound(g, bn)
 		if err != nil {
 			return false
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"vliwbind/internal/dfg"
-	"vliwbind/internal/machine"
-	"vliwbind/internal/sched"
 )
 
 // BuildBound converts an original graph plus a binding into the bound
@@ -88,24 +86,4 @@ func BuildBound(g *dfg.Graph, binding []int) (*dfg.Graph, []int, error) {
 		return nil, nil, fmt.Errorf("problem: internal error: %d binding entries for %d bound nodes", len(boundBinding), bg.NumNodes())
 	}
 	return bg, boundBinding, nil
-}
-
-// Materialize builds the real bound graph for a binding and
-// list-schedules it — the expensive, allocation-heavy form of what
-// Evaluator.Evaluate computes virtually. Callers invoke it once per
-// solution they keep, never per candidate.
-func (p *Problem) Materialize(binding []int) (*dfg.Graph, []int, *sched.Schedule, error) {
-	return materialize(p.g, p.dp, binding)
-}
-
-func materialize(g *dfg.Graph, dp *machine.Datapath, binding []int) (*dfg.Graph, []int, *sched.Schedule, error) {
-	bg, bb, err := BuildBound(g, binding)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s, err := sched.List(bg, dp, bb)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return bg, bb, s, nil
 }

@@ -3,15 +3,15 @@
 // datapath and precomputes, exactly once, every piece of derived
 // analysis the binding algorithms otherwise re-derive per candidate:
 // topological order, critical path, ASAP/ALAP levels and mobility,
-// consumer counts, longest-path heights, per-node latencies and
-// data-introduction intervals, producer adjacency in flat slices, and
-// the functional-unit pool layout of the machine.
+// longest-path heights, per-node latencies, data-introduction
+// intervals and FU types, and producer adjacency in flat slices.
 //
 // An Evaluator (see evaluator.go) owns reusable scratch buffers and
 // answers the inner question of every binding algorithm — "what (L, M)
 // does this candidate binding schedule to?" — without materializing a
-// bound graph or a Schedule per call. The full bound graph is only
-// built, via Materialize, for the solutions a caller actually keeps.
+// bound graph or a Schedule per call: it synthesizes the moves into a
+// sched.Lister and runs it. The full bound graph is only built, by
+// BuildBound and sched.List, for the solutions a caller actually keeps.
 package problem
 
 import (
@@ -34,11 +34,11 @@ type Problem struct {
 	order    []int32 // node IDs in topological order
 
 	// Per-node operation attributes, indexed by node ID.
-	lat    []int32 // dp.Latency(op)
-	dii    []int32 // dp.DII(op)
-	fut    []int32 // dfg.FUTypeOf(op)
-	isLoad []bool  // op == OpLoad (spill reloads are ALAP-held by the scheduler)
-	output []bool  // node is live-out
+	lat    []int32      // dp.Latency(op)
+	dii    []int32      // dp.DII(op)
+	fut    []dfg.FUType // dfg.FUTypeOf(op)
+	isLoad []bool       // op == OpLoad (spill reloads are ALAP-held by the scheduler)
+	output []bool       // node is live-out
 
 	// Producer adjacency in CSR form: the distinct producers of node id,
 	// in first-use order, are preds[predStart[id]:predStart[id+1]].
@@ -50,24 +50,6 @@ type Problem struct {
 	lcp    int        // critical path L_CP
 	times  *dfg.Times // ASAP/ALAP at the critical path
 	height []int32    // longest path (in latency) from each node to any sink
-
-	// Unit pool layout: pool key c*NumFUTypes+t holds the compute units
-	// of cluster c and FU type t, and key fuKeys+l the channels of
-	// interconnect link l (on the shared bus, that one link's pool is
-	// the whole legacy bus pool). Pool k occupies unitFree slots
-	// poolOff[k] .. poolOff[k]+poolLen[k] of an Evaluator's scratch,
-	// unitPoolLen slots in all.
-	poolOff     []int32
-	poolLen     []int32
-	fuKeys      int32
-	unitPoolLen int
-	numBuses    int32
-
-	// Flattened route table: a transfer from cluster src to dst hops
-	// across routeLinks[routeStart[k]:routeStart[k+1]], k = src*clusters
-	// +dst.
-	routeStart []int32
-	routeLinks []int32
 
 	moveLat, moveDII int32
 	// baseWork is Σ (dii+lat) over the original nodes — the move-free part
@@ -108,7 +90,7 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		order:     make([]int32, 0, n),
 		lat:       make([]int32, n),
 		dii:       make([]int32, n),
-		fut:       make([]int32, n),
+		fut:       make([]dfg.FUType, n),
 		isLoad:    make([]bool, n),
 		output:    make([]bool, n),
 		predStart: make([]int32, n+1),
@@ -127,7 +109,7 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		id := nd.ID()
 		p.lat[id] = int32(dp.Latency(nd.Op()))
 		p.dii[id] = int32(dp.DII(nd.Op()))
-		p.fut[id] = int32(nd.FUType())
+		p.fut[id] = nd.FUType()
 		p.isLoad[id] = nd.Op() == dfg.OpLoad
 		p.output[id] = nd.IsOutput()
 		p.baseWork += p.dii[id] + p.lat[id]
@@ -157,48 +139,7 @@ func New(g *dfg.Graph, dp *machine.Datapath) (*Problem, error) {
 		}
 	}
 
-	// Pool layout for the virtual scheduler.
-	p.fuKeys = int32(p.clusters * dfg.NumFUTypes)
-	p.poolOff = make([]int32, int(p.fuKeys)+dp.NumLinks())
-	p.poolLen = make([]int32, int(p.fuKeys)+dp.NumLinks())
-	off := int32(0)
-	for c := 0; c < p.clusters; c++ {
-		for t := 1; t < dfg.NumFUTypes; t++ {
-			ft := dfg.FUType(t)
-			if ft == dfg.FUBus {
-				continue
-			}
-			k := c*dfg.NumFUTypes + t
-			p.poolOff[k] = off
-			p.poolLen[k] = int32(dp.NumFU(c, ft))
-			off += p.poolLen[k]
-		}
-	}
-	for l := 0; l < dp.NumLinks(); l++ {
-		p.poolOff[int(p.fuKeys)+l] = off + int32(dp.LinkOffset(l))
-		p.poolLen[int(p.fuKeys)+l] = int32(dp.LinkCapacity(l))
-	}
-	p.unitPoolLen = int(off) + dp.NumBuses()
-	p.numBuses = int32(dp.NumBuses())
-	p.routeStart = make([]int32, p.clusters*p.clusters+1)
-	for src := 0; src < p.clusters; src++ {
-		for dst := 0; dst < p.clusters; dst++ {
-			k := src*p.clusters + dst
-			p.routeStart[k] = int32(len(p.routeLinks))
-			for _, l := range dp.Route(src, dst) {
-				p.routeLinks = append(p.routeLinks, int32(l))
-			}
-		}
-	}
-	p.routeStart[p.clusters*p.clusters] = int32(len(p.routeLinks))
 	return p, nil
-}
-
-// routeOf returns the hop links of a src→dst transfer (empty when
-// src == dst or no route exists).
-func (p *Problem) routeOf(src, dst int32) []int32 {
-	k := src*int32(p.clusters) + dst
-	return p.routeLinks[p.routeStart[k]:p.routeStart[k+1]]
 }
 
 // Must is New for callers that know their inputs are valid (tests,

@@ -138,7 +138,11 @@ func TestMaterializeAgreesWithEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, bb, s, err := p.Materialize(bn)
+	bg, bb, err := BuildBound(g, bn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.List(bg, dp, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func TestMaterializeAgreesWithEvaluate(t *testing.T) {
 // the first, nor one whose schedule is longer than any before it.
 func TestEvaluateAllocatesNothing(t *testing.T) {
 	g := kernels.All()[0].Build()
-	for _, spec := range []string{"[3,1|2,2|1,3]", "[1,1|1,1|1,1|1,1]@ring:1"} {
+	for _, spec := range []string{"[3,1|2,2|1,3]", "[1,1|1,1|1,1|1,1]@ring:1", "[3,1|2,2|1,3]@p2p:2"} {
 		dp, err := machine.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)

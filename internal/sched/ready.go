@@ -2,22 +2,20 @@ package sched
 
 import "math/bits"
 
-// ReadySet is the ready list both list schedulers in this repository
-// issue from: List on a materialized bound graph, and problem.Evaluator
-// on its virtual twin. The paper's priority — ALAP level, then
-// mobility, then consumer count, then node ID — is fixed once a
-// schedule's ASAP/ALAP windows exist, so Rank orders the nodes once per
-// schedule and the set keeps the ready ones as bits in rank order.
-// Visiting set bits lowest first is exactly the order a sort of the
-// ready list by that priority would give, with nothing sorted per
+// readySet is the Lister's ready list. The paper's priority — ALAP
+// level, then mobility, then consumer count, then node ID — is fixed
+// once a schedule's ASAP/ALAP windows exist, so Rank orders the nodes
+// once per schedule and the set keeps the ready ones as bits in rank
+// order. Visiting set bits lowest first is exactly the order a sort of
+// the ready list by that priority would give, with nothing sorted per
 // cycle. A node whose operands are not yet available waits in the wake
 // bucket of its earliest cycle and joins the set when that cycle is
 // released.
 //
 // Nodes are the dense indices 0..n−1. Reset reuses storage, so a set
-// owned by a long-lived evaluator allocates only when a schedule
-// outgrows every earlier one.
-type ReadySet struct {
+// owned by a long-lived Lister allocates only when a schedule outgrows
+// every earlier one.
+type readySet struct {
 	order []int32  // rank → node
 	rank  []int32  // node → rank
 	bits  []uint64 // bit r set: node order[r] is ready
@@ -36,7 +34,7 @@ type ReadySet struct {
 
 // Reset empties the set and sizes it for n nodes parked at cycles
 // 0..horizon, with ALAP levels up to horizon.
-func (s *ReadySet) Reset(n, horizon int) {
+func (s *readySet) Reset(n, horizon int) {
 	if s.ready > 0 || s.parked > 0 {
 		// An aborted schedule left nodes behind; a drained one leaves
 		// every bit and bucket clear, so the common path skips this.
@@ -71,7 +69,7 @@ func grow[T int32 | uint64](buf []T, n int) []T {
 // key, which leaves equal keys in index order. ALAP levels must lie in
 // 0..horizon and mobilities be non-negative; every slice needs at least
 // n entries.
-func (s *ReadySet) Rank(asap, alap, cons []int32) {
+func (s *readySet) Rank(asap, alap, cons []int32) {
 	n := len(s.order)
 	maxA, maxC := int32(0), int32(0)
 	for k := 0; k < n; k++ {
@@ -112,7 +110,7 @@ func (s *ReadySet) Rank(asap, alap, cons []int32) {
 
 // Park holds node k until cycle at, when Advance makes it ready. at
 // must not exceed the horizon given to Reset.
-func (s *ReadySet) Park(k, at int32) {
+func (s *readySet) Park(k, at int32) {
 	s.next[k] = s.head[at]
 	s.head[at] = k + 1
 	s.parked++
@@ -123,7 +121,7 @@ func (s *ReadySet) Park(k, at int32) {
 // non-empty bucket and releases that one instead. It returns the cycle
 // to issue in, or −1 when nothing is ready or parked (a scheduler that
 // still has unissued nodes then has a dependence it can never meet).
-func (s *ReadySet) Advance(c int32) int32 {
+func (s *readySet) Advance(c int32) int32 {
 	s.release(c)
 	if s.ready > 0 {
 		return c
@@ -137,7 +135,7 @@ func (s *ReadySet) Advance(c int32) int32 {
 	return c
 }
 
-func (s *ReadySet) release(c int32) {
+func (s *readySet) release(c int32) {
 	for k := s.head[c]; k != 0; k = s.next[k-1] {
 		r := s.rank[k-1]
 		s.bits[r>>6] |= 1 << uint(r&63)
@@ -150,7 +148,7 @@ func (s *ReadySet) release(c int32) {
 // Next returns the lowest ready rank ≥ r, or −1. Issuing in the order
 // r = Next(0), Next(r+1), … visits the ready nodes by priority, and
 // Remove during that walk is safe.
-func (s *ReadySet) Next(r int) int {
+func (s *readySet) Next(r int) int {
 	w := r >> 6
 	if w >= len(s.bits) {
 		return -1
@@ -166,10 +164,10 @@ func (s *ReadySet) Next(r int) int {
 }
 
 // Node returns the node of rank r.
-func (s *ReadySet) Node(r int) int32 { return s.order[r] }
+func (s *readySet) Node(r int) int32 { return s.order[r] }
 
 // Remove takes the node of rank r out of the ready set once it issued.
-func (s *ReadySet) Remove(r int) {
+func (s *readySet) Remove(r int) {
 	s.bits[r>>6] &^= 1 << uint(r&63)
 	s.ready--
 }

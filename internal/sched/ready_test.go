@@ -9,7 +9,7 @@ import (
 
 // drain walks the ready set in rank order, removing every node it
 // visits, and returns the nodes.
-func drain(s *ReadySet) []int32 {
+func drain(s *readySet) []int32 {
 	var got []int32
 	for r := s.Next(0); r >= 0; r = s.Next(r + 1) {
 		got = append(got, s.Node(r))
@@ -25,7 +25,7 @@ func TestReadySetRankTies(t *testing.T) {
 	asap := []int32{0, 1, 1, 0, 1, 2, 0}
 	alap := []int32{2, 1, 1, 1, 1, 2, 1}
 	cons := []int32{1, 2, 2, 3, 1, 0, 2}
-	var s ReadySet
+	var s readySet
 	s.Reset(len(asap), 4)
 	s.Rank(asap, alap, cons)
 	// ALAP 1: mobility 0 for 1, 2, 4 (consumers 2, 2, 1), mobility 1 for
@@ -49,7 +49,7 @@ func TestReadySetRankTies(t *testing.T) {
 // under the paper's priority on random keys with many ties.
 func TestReadySetRankMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var s ReadySet
+	var s readySet
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(150)
 		asap, alap, cons := make([]int32, n), make([]int32, n), make([]int32, n)
@@ -92,7 +92,7 @@ func TestReadySetRankMatchesSort(t *testing.T) {
 // exactly its cycle, that idle cycles are skipped, and that a drained
 // set reports nothing left.
 func TestReadySetWakeBuckets(t *testing.T) {
-	var s ReadySet
+	var s readySet
 	s.Reset(5, 9)
 	s.Rank(make([]int32, 5), make([]int32, 5), make([]int32, 5)) // rank = index
 	s.Park(3, 0)
@@ -124,7 +124,7 @@ func TestReadySetWakeBuckets(t *testing.T) {
 // TestReadySetKeepsBlockedNodes: a node left in the set (its unit was
 // busy) stays ready, in rank order, alongside nodes released later.
 func TestReadySetKeepsBlockedNodes(t *testing.T) {
-	var s ReadySet
+	var s readySet
 	s.Reset(4, 3)
 	s.Rank(make([]int32, 4), make([]int32, 4), make([]int32, 4))
 	s.Park(2, 0)
@@ -143,7 +143,7 @@ func TestReadySetKeepsBlockedNodes(t *testing.T) {
 // TestReadySetResetAfterAbort: a schedule abandoned with nodes still
 // ready or parked must not leak them into the next one.
 func TestReadySetResetAfterAbort(t *testing.T) {
-	var s ReadySet
+	var s readySet
 	s.Reset(70, 5)
 	s.Rank(make([]int32, 70), make([]int32, 70), make([]int32, 70))
 	s.Park(65, 0)

@@ -1,7 +1,7 @@
 // Package sched implements a cluster-aware, resource-constrained list
 // scheduler for bound dataflow graphs, plus a schedule legality checker and
-// a text Gantt renderer. Its ready list, ReadySet, is also the core of
-// problem.Evaluator, the allocation-free twin every binder scores
+// a text Gantt renderer. Its core, Lister, also runs under
+// problem.Evaluator, the allocation-free path every binder scores
 // candidate bindings with: the schedule latency L is the paper's primary
 // figure of merit, and the completion profile supplies the Q_U quality
 // vector of Section 3.2.
@@ -41,9 +41,9 @@ type Schedule struct {
 	// (moves included) completes.
 	L int
 
-	// finish holds each node's completion cycle, recorded by List as
-	// operations issue (nil for hand-built Schedule values, which fall
-	// back to Start + latency).
+	// finish holds each node's completion cycle, recorded by List (nil
+	// for hand-built Schedule values, which fall back to Start +
+	// latency).
 	finish []int
 	// profile is the full completion profile, computed eagerly by List
 	// so a finished Schedule is immutable and safe to share across
@@ -125,18 +125,21 @@ func (s *Schedule) CompletionProfile(depth int) []int {
 // binding. binding[id] gives the cluster of each node; for moves it names
 // the destination cluster. Priorities follow the paper's ranking: ALAP
 // level first, then mobility, then consumer count, with node ID as the
-// deterministic tiebreak. The ranking is computed once and the ready
-// list kept as a ReadySet, the core problem.Evaluator shares.
+// deterministic tiebreak. List validates the binding, resolves each
+// move's route and runs the Lister on the graph, node ID as index.
 func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) {
 	if len(binding) != g.NumNodes() {
 		return nil, fmt.Errorf("sched: binding has %d entries for %d nodes", len(binding), g.NumNodes())
 	}
-	// routes[id] is the hop list (link ids) each move traverses under
-	// this binding; resolved once up front so routing failures surface
-	// as errors before any scheduling work.
-	routes := make([][]int, g.NumNodes())
-	for _, n := range g.Nodes() {
-		c := binding[n.ID()]
+	nodes := g.Nodes()
+	edges := 0
+	for _, n := range nodes {
+		edges += len(n.Preds())
+	}
+	ls := NewLister(dp, len(nodes), edges, 0)
+	for _, n := range nodes {
+		id := n.ID()
+		c := binding[id]
 		if c < 0 || c >= dp.NumClusters() {
 			return nil, fmt.Errorf("sched: node %s bound to invalid cluster %d", n.Name(), c)
 		}
@@ -144,31 +147,37 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 			if dp.NumBuses() == 0 {
 				return nil, fmt.Errorf("sched: move %s but datapath has no interconnect", n.Name())
 			}
-			r, err := moveRoute(dp, n, binding)
+			// A move pays MoveLat per hop of its route; a one-hop move
+			// (a degenerate one too) issues on its link's pool.
+			route, err := moveRoute(dp, n, binding)
 			if err != nil {
 				return nil, err
 			}
-			routes[n.ID()] = r
-			continue
+			ls.Lat[id], ls.DII[id] = int32(len(route)*dp.MoveLat()), int32(dp.MoveDII())
+			ls.Pool[id] = -1
+			if len(route) == 1 {
+				ls.Pool[id] = ls.LinkPool(int32(route[0]))
+			}
+		} else {
+			if !dp.Supports(c, n.Op()) {
+				return nil, fmt.Errorf("sched: node %s (%s) bound to cluster %d with no %s units",
+					n.Name(), n.Op(), c, n.FUType())
+			}
+			ls.Lat[id], ls.DII[id] = int32(dp.Latency(n.Op())), int32(dp.DII(n.Op()))
+			ls.Pool[id] = ls.FUPool(int32(c), n.FUType())
 		}
-		if !dp.Supports(c, n.Op()) {
-			return nil, fmt.Errorf("sched: node %s (%s) bound to cluster %d with no %s units",
-				n.Name(), n.Op(), c, n.FUType())
+		ls.Cluster[id] = int32(c)
+		ls.Hold[id] = n.Op() == dfg.OpLoad
+		ls.LiveOut[id] = n.IsOutput()
+		ls.PredStart[id] = int32(len(ls.Preds))
+		for _, p := range n.Preds() {
+			ls.Preds = append(ls.Preds, int32(p.ID()))
 		}
 	}
-
-	moveLat, moveDII := dp.MoveLat(), dp.MoveDII()
-	// latOf charges moves MoveLat per hop; on single-hop machines this is
-	// exactly dp.Latency, so ASAP/ALAP levels — and with them every
-	// priority decision — match the scalar-bus scheduler bit for bit.
-	latOf := func(n *dfg.Node) int {
-		if n.IsMove() {
-			return len(routes[n.ID()]) * moveLat
-		}
-		return dp.Latency(n.Op())
+	ls.PredStart[len(nodes)] = int32(len(ls.Preds))
+	if err := ls.Run(len(nodes)); err != nil {
+		return nil, err
 	}
-	times := dfg.AnalyzeNodes(g, latOf, 0)
-	nodes := g.Nodes()
 
 	s := &Schedule{
 		Graph:    g,
@@ -176,179 +185,25 @@ func List(g *dfg.Graph, dp *machine.Datapath, binding []int) (*Schedule, error) 
 		Start:    make([]int, len(nodes)),
 		Cluster:  append([]int(nil), binding...),
 		Unit:     make([]int, len(nodes)),
+		L:        int(ls.L),
 		finish:   make([]int, len(nodes)),
 	}
-	for i := range s.Start {
-		s.Start[i] = -1
-		s.finish[i] = -1
-	}
-
-	// unitFree[c][t] lists, per functional unit, the first cycle at which
-	// it can issue again. chanFree is the same for interconnect channels,
-	// laid out globally and partitioned by link (dp.LinkOffset); on the
-	// shared bus the single link's partition is the whole pool, which is
-	// the pre-interconnect busFree array unchanged.
-	unitFree := make([][][]int, dp.NumClusters())
-	for c := range unitFree {
-		unitFree[c] = make([][]int, dfg.NumFUTypes)
-		for t := 1; t < dfg.NumFUTypes; t++ {
-			ft := dfg.FUType(t)
-			if ft == dfg.FUBus {
-				continue
+	for k := range nodes {
+		s.Start[k] = int(ls.Start[k])
+		s.finish[k] = s.Start[k] + int(ls.Lat[k])
+		s.Unit[k] = ls.unit(int32(k))
+		if ls.Pool[k] < 0 {
+			if s.HopUnits == nil {
+				s.HopUnits = make([][]int, len(nodes))
 			}
-			unitFree[c][t] = make([]int, dp.NumFU(c, ft))
-		}
-	}
-	chanFree := make([]int, dp.NumBuses())
-	linkPool := func(l int) []int {
-		off := dp.LinkOffset(l)
-		return chanFree[off : off+dp.LinkCapacity(l)]
-	}
-
-	// Deterministic stall guard bound: every op eventually issues because
-	// each has at least one supporting unit (and every move a nonempty
-	// route), so the schedule length is bounded by the critical path plus
-	// the sum of all per-hop dii and latency values.
-	work := 0
-	for _, n := range nodes {
-		if n.IsMove() {
-			work += len(routes[n.ID()]) * (moveDII + moveLat)
-		} else {
-			work += dp.DII(n.Op()) + dp.Latency(n.Op())
-		}
-	}
-	bound := times.L + work + 1
-
-	// Rank every node once; the ready set then yields ready nodes in
-	// priority order each cycle. Sources wait for cycle 0 — spill reloads
-	// (OpLoad) for their ALAP level instead: reloading as late as
-	// dependences allow is what makes a spill actually shorten its
-	// value's register residency.
-	keys := make([]int32, 3*len(nodes))
-	asap, alap, cons := keys[:len(nodes)], keys[len(nodes):2*len(nodes)], keys[2*len(nodes):]
-	pendingPreds := make([]int, len(nodes))
-	for _, n := range nodes {
-		id := n.ID()
-		asap[id], alap[id] = int32(times.ASAP[id]), int32(times.ALAP[id])
-		cons[id] = int32(n.NumConsumers())
-		pendingPreds[id] = len(n.Preds())
-	}
-	var rs ReadySet
-	rs.Reset(len(nodes), bound)
-	rs.Rank(asap, alap, cons)
-	for _, n := range nodes {
-		if pendingPreds[n.ID()] == 0 {
-			at := 0
-			if n.Op() == dfg.OpLoad {
-				at = times.ALAP[n.ID()]
-			}
-			rs.Park(int32(n.ID()), int32(at))
-		}
-	}
-
-	// One issuing pass per cycle suffices: every latency and DII is ≥ 1
-	// (machine.New enforces it), so an issue neither frees a unit nor
-	// readies a successor within its own cycle.
-	stalled := func(cycle int) error {
-		return fmt.Errorf("sched: no progress by cycle %d; resource model inconsistent", cycle)
-	}
-	for cycle, unscheduled := 0, len(nodes); unscheduled > 0; cycle++ {
-		if cycle > bound {
-			return nil, stalled(cycle)
-		}
-		if cycle = int(rs.Advance(int32(cycle))); cycle < 0 {
-			return nil, stalled(bound)
-		}
-		for r := rs.Next(0); r >= 0; r = rs.Next(r + 1) {
-			n := g.Node(int(rs.Node(r)))
-			if n.IsMove() {
-				route := routes[n.ID()]
-				// Hop h occupies a channel of link route[h] during
-				// [cycle+h·MoveLat, +MoveDII) — store-and-forward with
-				// no stop-over in intermediate register files. All hops
-				// reserve together or not at all; shortest-path routes
-				// never repeat a link, so the per-hop feasibility
-				// probes are independent.
-				ok := true
-				for h, l := range route {
-					if freeUnit(linkPool(l), cycle+h*moveLat) < 0 {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				for h, l := range route {
-					pool := linkPool(l)
-					at := cycle + h*moveLat
-					u := freeUnit(pool, at)
-					pool[u] = at + moveDII
-					ch := dp.LinkOffset(l) + u
-					if h == 0 {
-						s.Unit[n.ID()] = ch
-					}
-					if len(route) > 1 {
-						if s.HopUnits == nil {
-							s.HopUnits = make([][]int, len(nodes))
-						}
-						s.HopUnits[n.ID()] = append(s.HopUnits[n.ID()], ch)
-					}
-				}
-			} else {
-				pool := unitFree[binding[n.ID()]][n.FUType()]
-				u := freeUnit(pool, cycle)
-				if u < 0 {
-					continue
-				}
-				pool[u] = cycle + dp.DII(n.Op())
-				s.Unit[n.ID()] = u
-			}
-			rs.Remove(r)
-			s.Start[n.ID()] = cycle
-			fin := cycle + latOf(n)
-			s.finish[n.ID()] = fin
-			if fin > s.L {
-				s.L = fin
-			}
-			unscheduled--
-			for _, succ := range n.Succs() {
-				pendingPreds[succ.ID()]--
-				if pendingPreds[succ.ID()] == 0 {
-					e := 0
-					for _, p := range succ.Preds() {
-						if f := s.Start[p.ID()] + latOf(p); f > e {
-							e = f
-						}
-					}
-					if succ.Op() == dfg.OpLoad && times.ALAP[succ.ID()] > e {
-						e = times.ALAP[succ.ID()]
-					}
-					if e > bound {
-						return nil, stalled(bound + 1)
-					}
-					rs.Park(int32(succ.ID()), int32(e))
-				}
-			}
+			s.HopUnits[k] = ls.hopChannels(int32(k))
 		}
 	}
 	// Freeze the completion profile now: schedules are shared read-only
 	// across goroutines (the binding engine's worker pool), so nothing
 	// may be lazily written after List returns.
-	s.profile = s.computeProfile()
+	s.profile = ls.AppendProfile(make([]int, 0, s.L))
 	return s, nil
-}
-
-// freeUnit returns the index of a unit in pool free at the given cycle,
-// preferring the one free longest (smallest next-free time), or -1.
-func freeUnit(pool []int, cycle int) int {
-	best, bestAt := -1, cycle+1
-	for i, at := range pool {
-		if at <= cycle && at < bestAt {
-			best, bestAt = i, at
-		}
-	}
-	return best
 }
 
 // moveRoute resolves the hop list a move traverses under binding: the
@@ -662,10 +517,6 @@ func (s *Schedule) hopChannels(n *dfg.Node) []int {
 	return s.Unit[n.ID() : n.ID()+1]
 }
 
-// channelLabel names a global interconnect channel for chart rows. The
-// shared bus keeps its historical bus0, bus1, … labels; routed links use
-// the link name, suffixed with the channel index only when a link has
-// several channels.
 // LinkOccupancy returns, per interconnect link, how many hop
 // reservations the schedule holds on it — each scheduled move
 // contributes one per hop of its route. Aggregating a trace journal's
@@ -683,6 +534,10 @@ func (s *Schedule) LinkOccupancy() []int {
 	return occ
 }
 
+// channelLabel names a global interconnect channel for chart rows. The
+// shared bus keeps its historical bus0, bus1, … labels; routed links use
+// the link name, suffixed with the channel index only when a link has
+// several channels.
 func channelLabel(dp *machine.Datapath, u int) string {
 	if dp.Topology() == machine.TopoBus {
 		return fmt.Sprintf("bus%d", u)

@@ -20,7 +20,7 @@ func FuzzParse(f *testing.F) {
 		"dfg g\nin x\nop a muli 0.5 x\nop b move a\nout b\n",
 		"dfg g\nin x\nop a neg x\nop b neg a\nop c add a b\nout c\n",
 		"# comment\n\ndfg g\nin x\nop a neg x\nout a\nout a\n", // now rejected: duplicate output
-		"dfg g\nin x\nop a neg x\nout a a\n",                  // rejected: duplicate on one line
+		"dfg g\nin x\nop a neg x\nout a a\n",                   // rejected: duplicate on one line
 		"dfg g\nin x\nop a muli 1e308 x\nout a\n",
 		"dfg g\nin x\nop a add x x\nout a\n",
 		"in x\nop a neg x\n",
