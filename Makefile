@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet and gofmt, full build, full test suite, and the race
-# detector over the packages with concurrency (the binding engine's
-# worker pool and cache, plus the scheduler it fans out over).
+# pass: vet and gofmt, full build, full test suite, the race detector
+# over the packages with concurrency (the binding engine's worker pool,
+# plus the scheduler it fans out over), and the benchmark module's vet
+# and self-test.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build test race fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-compare bench-parallel benchstat golden
+.PHONY: check vet build test race vbench-check fuzz-smoke chaos-smoke obs-smoke store-smoke serve-smoke explore-smoke bench bench-compare bench-parallel benchstat golden
 
-check: vet build test race
+check: vet build test race vbench-check
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/bind/... ./internal/sched/... ./internal/store/... ./internal/server/... ./internal/sigctx/...
+
+# The benchmark is its own module (cmd/vbench), so `go build ./...` and
+# `go test ./...` never compile it. It imports internal packages and the
+# facade; vet and self-test it here so a renamed identifier it depends
+# on fails the gate instead of every benchmark run.
+vbench-check:
+	cd cmd/vbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing pass over every native harness (the checked-in corpora
 # under testdata/fuzz run on every plain `go test` already; this spends

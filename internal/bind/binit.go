@@ -45,21 +45,21 @@ type Options struct {
 	// single best, since a low-move initial solution can have no
 	// boundary operations left to perturb). Zero defaults to 3.
 	Seeds int
-	// Parallelism bounds the shared worker pool that evaluates
+	// Parallelism sizes the shared worker pool that evaluates
 	// independent binding candidates: the (L_PR, direction) sweep of the
 	// B-INIT driver and each B-ITER perturbation round. Zero defaults to
-	// runtime.GOMAXPROCS(0); 1 restores the exact sequential pre-engine
-	// code path; negative values are rejected by Validate. Any setting
-	// produces bit-identical results — candidates are reduced in
-	// enumeration order under the same lexicographic tie-breaks, never
-	// first-goroutine-wins — so the knob trades only wall-clock time.
-	// Values above 1 additionally enable a memoization cache that never
-	// reschedules a binding seen earlier in the same run (see Stats).
+	// runtime.GOMAXPROCS(0); 1 runs every batch in order on the calling
+	// goroutine; negative values are rejected by Validate. Any setting
+	// produces bit-identical results and identical Stats counters —
+	// candidates are reduced in enumeration order under the same
+	// lexicographic tie-breaks, never first-goroutine-wins — so the knob
+	// trades only wall-clock time.
 	Parallelism int
 	// Stats, when non-nil, accumulates hit/miss/retry counters of the
-	// schedule-evaluation cache across the run. The cache (and therefore
-	// the counters) is active whenever Parallelism resolves to a value
-	// greater than 1. Safe to share across concurrent runs.
+	// engine's evaluations across the run: a hit is a candidate answered
+	// from the previous batch's records, a miss one that was
+	// list-scheduled (see CacheStats). Safe to share across concurrent
+	// runs.
 	Stats *CacheStats
 	// TaskRetries caps how many times the engine re-runs an evaluation
 	// task that failed transiently (a recovered panic, or an error
@@ -71,10 +71,10 @@ type Options struct {
 	// config time, not discover retries silently off under load.
 	TaskRetries int
 	// Hook, when non-nil, is called at the engine's named seams (the
-	// Hook* constants) — the worker pool, the evaluator, and the memo
-	// cache. It exists for deterministic chaos testing (see
-	// internal/faultinject): a hook may sleep, cancel the run's context,
-	// or panic, and the engine isolates the fault. Leave nil in
+	// Hook* constants) — the worker pool, the evaluator, and the lookup
+	// in the previous batch's records. It exists for deterministic chaos
+	// testing (see internal/faultinject): a hook may sleep, cancel the
+	// run's context, or panic, and the engine isolates the fault. Leave nil in
 	// production; every call site guards against panics, but hooks run
 	// on the evaluation hot path.
 	Hook func(point string)
@@ -118,7 +118,7 @@ func (o Options) Validate() error {
 		}
 	}
 	if o.Parallelism < 0 {
-		return fmt.Errorf("bind: Options.Parallelism is %d; want >= 0 (0 selects GOMAXPROCS, 1 the sequential path)", o.Parallelism)
+		return fmt.Errorf("bind: Options.Parallelism is %d; want >= 0 (0 selects GOMAXPROCS, 1 a single worker)", o.Parallelism)
 	}
 	if o.MaxIterations < 0 {
 		return fmt.Errorf("bind: Options.MaxIterations is %d; want >= 0 (0 means no cap)", o.MaxIterations)
@@ -472,10 +472,11 @@ func InitialCandidatesContext(ctx context.Context, g *dfg.Graph, dp *machine.Dat
 // engine (opts already defaulted). Every (L_PR stretch, direction)
 // configuration is greedily bound and virtually scheduled
 // independently, so both steps fan out over the worker pool; the
-// distinct-binding dedup and the final (L, moves) ranking run over
-// index-ordered slices, which keeps the outcome bit-identical to the
-// sequential sweep. No bound graph is built here — candidates stay
-// (binding, record) pairs until a caller keeps one.
+// engine's batch scoring keeps the first occurrence of each distinct
+// binding, and the final (L, moves) ranking runs over index-ordered
+// slices, which keeps the outcome bit-identical at any pool size. No
+// bound graph is built here — candidates stay (binding, record) pairs
+// until a caller keeps one.
 //
 // Cancellation is observed at driver-iteration granularity (each sweep
 // configuration is one pool task) and surfaces as an error wrapping the
@@ -516,9 +517,9 @@ func initialSolutions(ctx context.Context, en *engine, opts Options) ([]solution
 		var err error
 		bns[i], err = initialOnce(g, dp, configs[i].lpr, configs[i].reverse, opts)
 		if err == nil {
-			// Rank is the 1-based sweep order: with the dedup below
-			// keeping the first occurrence of each binding, the lowest
-			// rank carrying a key identifies the config that minted it.
+			// Rank is the 1-based sweep order: with score keeping the
+			// first occurrence of each binding, the lowest rank
+			// carrying a key identifies the config that minted it.
 			en.emit(obs.Event{Type: obs.EvSweepConfig, Rank: i + 1,
 				LPR: configs[i].lpr, Reverse: configs[i].reverse, Key: keyHex(bns[i])})
 		}
@@ -527,29 +528,14 @@ func initialSolutions(ctx context.Context, en *engine, opts Options) ([]solution
 	if err := sweepErr(ctx, errs); err != nil {
 		return nil, err
 	}
-	// Dedup in sweep order before scheduling, exactly as the sequential
-	// sweep did, so only distinct bindings pay for an evaluation.
-	var uniq [][]int
-	seen := make(map[string]bool)
-	for i := range configs {
-		if key := bindingKey(bns[i]); !seen[key] {
-			seen[key] = true
-			uniq = append(uniq, bns[i])
-		}
-	}
 	en.setPhase("binit.eval")
-	recs := make([]*evalRec, len(uniq))
-	evalErrs := en.runBatch(ctx, len(uniq), func(worker, i int) error {
-		var err error
-		recs[i], err = en.evaluate(ctx, worker, uniq[i])
-		return err
-	})
+	cands := make([]solution, len(bns))
+	for i, bn := range bns {
+		cands[i] = solution{bn: bn, key: bindingKey(bn)}
+	}
+	sols, evalErrs := en.score(ctx, cands)
 	if err := sweepErr(ctx, evalErrs); err != nil {
 		return nil, err
-	}
-	sols := make([]solution, len(uniq))
-	for i := range uniq {
-		sols[i] = solution{bn: uniq[i], rec: recs[i]}
 	}
 	sort.SliceStable(sols, func(i, j int) bool {
 		if sols[i].rec.l != sols[j].rec.l {

@@ -197,10 +197,10 @@ func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) [
 // same current solution, so their evaluation fans out over the engine's
 // worker pool — every worker scheduling virtually on its own scratch
 // evaluator, no bound graph built anywhere; the reduction then scans the
-// index-ordered records in enumeration order with the sequential
+// index-ordered records in enumeration order with a first-of-equals
 // tie-break (strictly better quality, or equal quality with fewer
 // moves), which makes the accepted move — and therefore the whole
-// trajectory — bit-identical to the sequential path at any parallelism.
+// trajectory — bit-identical at any parallelism.
 //
 // improveWith is an anytime loop: every accepted move keeps quality
 // monotonically non-worsening, so cancellation at any round boundary —
@@ -215,7 +215,7 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 		en.emit(obs.Event{Type: obs.EvIterStop, Pass: pass, Round: round, Verdict: verdict})
 	}
 	curQ := quality(cur.rec)
-	seen := map[string]bool{bindingKey(cur.bn): true}
+	seen := map[string]bool{cur.key: true}
 	plateau := 0
 	iter := 0
 	for ; opts.MaxIterations == 0 || iter < opts.MaxIterations; iter++ {
@@ -228,10 +228,9 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			return cur, herr, nil
 		}
 		// Materialize this round's perturbed bindings, dropping no-ops
-		// and already-visited solutions exactly as the sequential loop
-		// did. seen is read-only for the rest of the round, so the
-		// workers never touch it.
-		var bns [][]int
+		// and already-visited solutions. seen is read-only for the rest
+		// of the round, so the workers never touch it.
+		var cands []solution
 		for _, cand := range perturbations(g, dp, cur.bn, opts) {
 			bn := append([]int(nil), cur.bn...)
 			changed := false
@@ -241,22 +240,21 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 					changed = true
 				}
 			}
-			if !changed || seen[bindingKey(bn)] {
+			if !changed {
 				continue
 			}
-			bns = append(bns, bn)
+			key := bindingKey(bn)
+			if seen[key] {
+				continue
+			}
+			cands = append(cands, solution{bn: bn, key: key})
 		}
 		en.emit(obs.Event{Type: obs.EvIterRound, Pass: pass,
-			Round: iter + 1, Candidates: len(bns)})
-		recs := make([]*evalRec, len(bns))
-		errs := en.runBatch(ctx, len(bns), func(worker, i int) error {
-			var err error
-			recs[i], err = en.evaluate(ctx, worker, bns[i])
-			return err
-		})
+			Round: iter + 1, Candidates: len(cands)})
+		sols, errs := en.score(ctx, cands)
 		bestIdx := -1
 		var bestQ Quality
-		for i, rec := range recs {
+		for i, s := range sols {
 			if errs[i] != nil {
 				if canceled(ctx, errs[i]) {
 					// Mid-round cancellation: discard the incomplete
@@ -267,9 +265,9 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 				}
 				return solution{}, nil, errs[i]
 			}
-			q := quality(rec)
+			q := quality(s.rec)
 			if bestIdx < 0 || q.Less(bestQ) ||
-				(q.Equal(bestQ) && rec.m < recs[bestIdx].m) {
+				(q.Equal(bestQ) && s.rec.m < sols[bestIdx].rec.m) {
 				bestIdx, bestQ = i, q
 			}
 		}
@@ -288,12 +286,12 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			stop(iter+1, "worse")
 			return cur, nil, nil
 		}
+		best := sols[bestIdx]
 		en.emit(obs.Event{Type: obs.EvIterAccept, Pass: pass, Round: iter + 1,
-			Verdict: verdict, Key: keyHex(bns[bestIdx]),
-			L: recs[bestIdx].l, M: recs[bestIdx].m,
+			Verdict: verdict, Key: keyHex(best.bn), L: best.rec.l, M: best.rec.m,
 			Before: curQ, After: bestQ})
-		cur, curQ = solution{bn: bns[bestIdx], rec: recs[bestIdx]}, bestQ
-		seen[bindingKey(cur.bn)] = true
+		cur, curQ = best, bestQ
+		seen[cur.key] = true
 	}
 	stop(iter, "max-iterations")
 	return cur, nil, nil
@@ -328,6 +326,7 @@ func ImproveContext(ctx context.Context, res *Result, opts Options) (*Result, er
 	// The input already carries its schedule, so its record costs nothing.
 	start := solution{
 		bn:  res.Binding,
+		key: bindingKey(res.Binding),
 		rec: &evalRec{l: res.L(), m: res.Moves(), qu: QualityU(res.Schedule)},
 	}
 	sol, cause, err := improve(ctx, en, start, opts)
@@ -345,9 +344,9 @@ func ImproveContext(ctx context.Context, res *Result, opts Options) (*Result, er
 
 // improve is Improve on an existing evaluation engine (opts already
 // defaulted). Sharing the engine across both passes means the Q_M pass's
-// first perturbation round — the very neighborhood the Q_U pass just
-// finished scoring — comes straight from the cache. Solutions stay
-// virtual throughout; the caller materializes the one it keeps.
+// first perturbation round — the very neighborhood the Q_U pass's last
+// round just scored — is answered from that round's records. Solutions
+// stay virtual throughout; the caller materializes the one it keeps.
 //
 // A non-nil cause means the improvement was cut short (cancellation or
 // an isolated fault) and sol is the best solution certified before the
@@ -374,11 +373,12 @@ func improve(ctx context.Context, en *engine, sol solution, opts Options) (out s
 // Bind runs both phases: the swept greedy initial binding followed by
 // iterative improvement of the best few distinct phase-one candidates.
 // This is the paper's full B-ITER configuration. One evaluation engine —
-// shared Problem, worker pool with per-worker scratch evaluators, and
-// memoization cache, sized by Options.Parallelism — is shared across the
-// driver sweep, every improvement seed, and both improvement passes, so
-// a binding scheduled anywhere in the run is never rescheduled. Nothing
-// is materialized until the single winning binding is known.
+// shared Problem, worker pool with per-worker scratch evaluators sized
+// by Options.Parallelism, and the previous batch's records — is shared
+// across the driver sweep, every improvement seed, and both improvement
+// passes, so each batch is answered from the one before it where they
+// overlap. Nothing is materialized until the single winning binding is
+// known.
 func Bind(g *dfg.Graph, dp *machine.Datapath, opts Options) (*Result, error) {
 	return BindContext(context.Background(), g, dp, opts)
 }

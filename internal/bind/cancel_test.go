@@ -4,9 +4,9 @@ package bind_test
 // cancellation at every seam either returns an error wrapping the
 // context cause (before the first certified candidate) or a valid
 // degraded result no worse than plain B-INIT's; injected panics are
-// recovered, retried, and never leak goroutines or corrupt the memo
-// cache. Faults are scheduled deterministically via internal/faultinject
-// against the engine's named hook points.
+// recovered, retried, and never leak goroutines or corrupt the engine's
+// lookup table. Faults are scheduled deterministically via
+// internal/faultinject against the engine's named hook points.
 
 import (
 	"context"

@@ -21,30 +21,32 @@ import (
 // candidate evaluation — move synthesis plus a full list schedule — and
 // both the B-INIT driver sweep and every B-ITER perturbation round run
 // many evaluations on candidates that are completely independent of each
-// other. The engine runs those batches on a size-bounded worker pool,
-// giving each worker its own problem.Evaluator (reusable scratch, no
-// bound graph materialized per candidate), and memoizes compact
-// (L, M, Q_U) records per binding. The final answer stays bit-identical
-// to the sequential code path: candidates are collected into
-// index-ordered slices and reduced in enumeration order with the same
-// lexicographic tie-breaks, never first-goroutine-wins.
+// other. The engine scores each such batch through one method, score,
+// at every Parallelism: it drops repeated bindings, answers the ones the
+// previous batch scored from that batch's compact (L, M, Q_U) records,
+// and runs the rest on a size-bounded worker pool, giving each worker
+// its own problem.Evaluator (reusable scratch, no bound graph
+// materialized per candidate). The final answer stays bit-identical at
+// any pool size: candidates are collected into index-ordered slices and
+// reduced in enumeration order with the same lexicographic tie-breaks,
+// never first-goroutine-wins.
 //
 // The engine is also the fault boundary of the binding stack. Every task
 // runs under a recover that converts a panic into a per-task *PanicError
 // with the goroutine's stack captured, so a fault in one candidate can
-// never take down the pool, leak a worker goroutine, or poison the memo
-// cache (records are inserted only after a fully successful evaluation).
-// Transient task failures are retried with capped exponential backoff,
-// and cancellation is observed between tasks: a cancelled batch drains
-// in microseconds because every undispatched task short-circuits to the
-// context's cause.
+// never take down the pool, leak a worker goroutine, or poison the
+// lookup table (a batch's records are kept only after every one of its
+// tasks succeeded). Transient task failures are retried with capped
+// exponential backoff, and cancellation is observed between tasks: a
+// cancelled batch drains in microseconds because every undispatched task
+// short-circuits to the context's cause.
 
 // Hook points of the evaluation engine, fired through Options.Hook when
 // it is set. They exist for deterministic fault injection (see
 // internal/faultinject): a test hook may sleep, cancel a context, or
 // panic at any of these seams, and the engine must still either finish
 // cleanly, degrade to the best solution found, or return a descriptive
-// error — never crash, leak a goroutine, or corrupt the cache.
+// error — never crash, leak a goroutine, or corrupt the lookup table.
 const (
 	// HookPoolTask fires at the start of every worker-pool task attempt
 	// — once per attempt, so a retried task fires it again.
@@ -54,15 +56,17 @@ const (
 	HookSweepConfig = "bind.sweep.config"
 	// HookIterRound fires at the top of every B-ITER perturbation round.
 	HookIterRound = "bind.biter.round"
-	// HookEvaluate fires at the entry of every memoized evaluation.
+	// HookEvaluate fires at the entry of every evaluation of a distinct
+	// binding in a batch.
 	HookEvaluate = "bind.engine.evaluate"
 	// HookCompute fires inside a cache miss, immediately before the
 	// virtual schedule runs — a panic here models an evaluator fault.
 	HookCompute = "bind.engine.compute"
-	// HookCacheLookup fires before the memo-cache lookup.
+	// HookCacheLookup fires before the lookup in the previous batch's
+	// records.
 	HookCacheLookup = "bind.cache.lookup"
-	// HookCacheInsert fires after a successful computation, before its
-	// record is inserted into the memo cache.
+	// HookCacheInsert fires after a successful computation, before it is
+	// counted and its record kept for the next batch.
 	HookCacheInsert = "bind.cache.insert"
 )
 
@@ -87,6 +91,9 @@ func (e *PanicError) Error() string {
 // and so is any error that exposes Transient() bool reporting true (the
 // convention fault injectors and future remote evaluators can use).
 func transient(err error) bool {
+	if err == nil {
+		return false
+	}
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		return true
@@ -108,12 +115,13 @@ func canceled(ctx context.Context, err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// CacheStats accumulates hit/miss counters of the schedule-evaluation
-// cache across a binding run. Hand one to Options.Stats to observe cache
-// effectiveness; all methods are safe for concurrent use. The cache is
-// active whenever Options.Parallelism resolves to a value greater than 1
-// (Parallelism 1 is the exact pre-engine sequential path, which never
-// memoized).
+// CacheStats accumulates hit/miss counters of the engine's evaluations
+// across a binding run. Hand one to Options.Stats to observe them; all
+// methods are safe for concurrent use. A hit is a binding answered from
+// the records of the batch scored just before (the previous B-ITER
+// round, or the sweep for a seed's first round); a miss is one that was
+// list-scheduled. Repeats within one batch are scored once and counted
+// once. The counters are the same at every Options.Parallelism.
 type CacheStats struct {
 	hits, misses, retries atomic.Int64
 
@@ -124,8 +132,8 @@ type CacheStats struct {
 	storeHits, storeMisses, storeEvicts atomic.Int64
 }
 
-// Hits returns how many evaluations were served from the cache without
-// rescheduling.
+// Hits returns how many evaluations were answered from the previous
+// batch's records without rescheduling.
 func (s *CacheStats) Hits() int64 { return s.hits.Load() }
 
 // Misses returns how many evaluations had to synthesize moves and run
@@ -164,14 +172,6 @@ func (s *CacheStats) RecordStoreMiss() { s.storeMisses.Add(1) }
 // adoption or audit.
 func (s *CacheStats) RecordStoreEvict() { s.storeEvicts.Add(1) }
 
-// maxCacheEntries bounds the per-run result cache. Entries are compact
-// (L, M, Q_U) records — no bound graph, no schedule — but an unbounded
-// cache could still hold the whole history of a long improvement run;
-// past the bound, results are still computed and returned, just not
-// retained. 2^16 entries is roughly an order of magnitude above the
-// candidate count of the largest benchmark kernel's full B-ITER run.
-const maxCacheEntries = 1 << 16
-
 // Retry policy for transient task failures: up to Options.TaskRetries
 // re-runs, backing off 1ms, 2ms, 4ms… capped at 8ms, each sleep
 // abandoned early if the context ends.
@@ -189,26 +189,19 @@ type evalRec struct {
 	qu   Quality // [L, U_0, U_1, …] — see QualityU
 }
 
-// solution pairs a binding with its evaluation record as it flows
-// through the driver sweep and the improvement passes.
+// solution pairs a binding with its bindingKey and evaluation record as
+// it flows through the driver sweep and the improvement passes. The key
+// is built once, where the binding is made, and serves both the batch's
+// dedup and lookup and B-ITER's visited set.
 type solution struct {
 	bn  []int
+	key string
 	rec *evalRec
 }
 
-// recCache memoizes evaluation records by bindingKey. Guarded by a
-// plain mutex: the critical section is a map operation, vanishingly
-// small next to the list schedule a miss pays for. Two workers racing on
-// the same missing key both compute it (evaluation is deterministic, so
-// either record is THE record); one insert wins.
-type recCache struct {
-	mu sync.Mutex
-	m  map[string]*evalRec
-}
-
 // workerPool runs batches of independent tasks on a bounded number of
-// goroutines. Size 1 degenerates to a plain in-order loop — exactly the
-// pre-parallel code path. Tasks are handed out by an atomic counter, so
+// goroutines. Size 1 degenerates to a plain in-order loop on the
+// caller's goroutine. Tasks are handed out by an atomic counter, so
 // an uneven batch keeps every worker busy until the batch drains. Each
 // task receives the index of the worker running it, which the engine
 // uses to hand out per-worker scratch evaluators.
@@ -300,15 +293,15 @@ func backoffSleep(ctx context.Context, attempt int) {
 }
 
 // engine bundles the shared Problem, the worker pool, per-worker scratch
-// evaluators and the memoization cache for one binding run. Bind creates
-// a single engine and shares it across the B-INIT driver sweep, every
-// improvement seed, and both the Q_U and Q_M passes of B-ITER, so a
-// binding evaluated anywhere in the run is never rescheduled.
+// evaluators and the previous batch's records for one binding run. Bind
+// creates a single engine and shares it across the B-INIT driver sweep,
+// every improvement seed, and both the Q_U and Q_M passes of B-ITER, so
+// each batch can be answered from the one scored before it.
 type engine struct {
 	p          *problem.Problem
 	pool       workerPool
 	evs        []*problem.Evaluator // per-worker scratch, created lazily
-	cache      *recCache            // nil when Parallelism == 1 (pre-engine path)
+	prev       map[string]*evalRec  // the last fully scored batch, by bindingKey; see score
 	stats      *CacheStats          // nil unless the caller asked for counters
 	hook       func(point string)   // nil unless the caller injects faults
 	maxRetries int                  // transient-failure retries per task
@@ -336,9 +329,6 @@ func newEngine(g *dfg.Graph, dp *machine.Datapath, opts Options) (*engine, error
 		maxRetries: opts.TaskRetries,
 		obs:        opts.Observer,
 		kernel:     g.Name(),
-	}
-	if opts.Parallelism > 1 {
-		en.cache = &recCache{m: make(map[string]*evalRec)}
 	}
 	return en, nil
 }
@@ -477,32 +467,56 @@ func (en *engine) compute(worker int, bn []int) (*evalRec, error) {
 	return &evalRec{l: e.L, m: e.M, qu: Quality(ev.AppendQualityU(nil))}, nil
 }
 
-// evaluate is compute behind the memoization cache. Records are shared
-// and must be treated as immutable by callers. A cancelled context
-// short-circuits to its cause before any work; a failed computation is
-// never inserted into the cache, and the miss counter moves only after
-// a fully successful computation — retried tasks count once.
-func (en *engine) evaluate(ctx context.Context, worker int, bn []int) (*evalRec, error) {
+// score is the engine's one evaluation path, shared by the B-INIT
+// driver sweep and every B-ITER round at any Parallelism. It takes
+// candidates with bn and key set and returns the distinct ones, in
+// first-occurrence order so enumeration order and every first-of-equals
+// tie-break are unchanged, with rec filled in, plus one error slot per
+// returned candidate. A binding the previous batch scored is answered
+// from that batch's records (a hit); the rest are list-scheduled on the
+// pool (misses). When every task succeeded (a failed task leaves no
+// record), this batch's records become the lookup table for the next
+// batch. The table is replaced only after the pool has joined, so
+// workers read it without a lock.
+func (en *engine) score(ctx context.Context, cands []solution) ([]solution, []error) {
+	next := make(map[string]*evalRec, len(cands))
+	uniq := cands[:0]
+	for _, c := range cands {
+		if _, dup := next[c.key]; !dup {
+			next[c.key] = nil
+			uniq = append(uniq, c)
+		}
+	}
+	errs := en.runBatch(ctx, len(uniq), func(worker, i int) error {
+		var err error
+		uniq[i].rec, err = en.evaluate(ctx, worker, uniq[i].bn, uniq[i].key)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return uniq, errs
+		}
+	}
+	for _, c := range uniq {
+		next[c.key] = c.rec
+	}
+	en.prev = next
+	return uniq, errs
+}
+
+// evaluate scores one binding of a batch: from the previous batch's
+// records when they hold key, by a virtual schedule otherwise. Records
+// are shared and must be treated as immutable by callers. A cancelled
+// context short-circuits to its cause before any work, and the miss
+// counter moves only after a fully successful computation — retried
+// tasks count once.
+func (en *engine) evaluate(ctx context.Context, worker int, bn []int, key string) (*evalRec, error) {
 	en.fire(HookEvaluate)
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	if en.cache == nil {
-		r, err := en.compute(worker, bn)
-		if err != nil {
-			return nil, err
-		}
-		if en.obs != nil {
-			en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu})
-		}
-		return r, nil
-	}
-	key := bindingKey(bn)
 	en.fire(HookCacheLookup)
-	en.cache.mu.Lock()
-	r, ok := en.cache.m[key]
-	en.cache.mu.Unlock()
-	if ok {
+	if r, ok := en.prev[key]; ok {
 		// The eval event rides right next to the counter move, so a
 		// journal's per-verdict totals always equal the CacheStats a
 		// caller reads after the run.
@@ -518,9 +532,9 @@ func (en *engine) evaluate(ctx context.Context, worker int, bn []int) (*evalRec,
 	if err != nil {
 		return nil, err
 	}
-	// The insert hook fires before the counters and the map move: a
-	// panic injected here unwinds with the cache and stats untouched,
-	// so the retry that follows recomputes and counts exactly once.
+	// The insert hook fires before the counter moves: a panic injected
+	// here unwinds with the stats untouched, so the retry that follows
+	// recomputes and counts exactly once.
 	en.fire(HookCacheInsert)
 	if en.stats != nil {
 		en.stats.misses.Add(1)
@@ -528,11 +542,6 @@ func (en *engine) evaluate(ctx context.Context, worker int, bn []int) (*evalRec,
 	if en.obs != nil {
 		en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu, Cache: "miss"})
 	}
-	en.cache.mu.Lock()
-	if len(en.cache.m) < maxCacheEntries {
-		en.cache.m[key] = r
-	}
-	en.cache.mu.Unlock()
 	return r, nil
 }
 

@@ -4,8 +4,8 @@ package bind
 // under Options.TaskRetries: a retry that heals counts its miss exactly
 // once, and a retried compute fault never manufactures a phantom hit.
 // The engine is driven directly, one single-task batch at a time, so
-// every counter value is fully deterministic — no racing duplicate-key
-// computes, no pool scheduling variance. The black-box Bind-level
+// each evaluation's record becomes the previous batch the next one looks
+// up, and every counter value is fully deterministic. The black-box Bind-level
 // counterparts (cancel_test.go) assert the same invariants relationally;
 // these tests pin the absolute numbers.
 
@@ -18,9 +18,9 @@ import (
 	"vliwbind/internal/machine"
 )
 
-// statsHarness builds an engine over the EWF kernel with the cache
-// active (Parallelism 2), a two-retry budget, and the given injector at
-// the hook seam, plus two distinct valid bindings to evaluate.
+// statsHarness builds an engine over the EWF kernel with a two-worker
+// pool, a two-retry budget, and the given injector at the hook seam,
+// plus two distinct valid bindings to evaluate.
 func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*engine, []int, []int) {
 	t.Helper()
 	k, err := kernels.ByName("EWF")
@@ -37,9 +37,6 @@ func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	if en.cache == nil {
-		t.Fatal("cache inactive at Parallelism 2; the test would measure nothing")
-	}
 	bnA, err := InitialOnce(g, mdp, 10, false, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +49,11 @@ func statsHarness(t *testing.T, inj *faultinject.Injector, stats *CacheStats) (*
 }
 
 // evalOne pushes one evaluation through the engine as a single-task
-// batch, exercising the same pool + retry path Bind uses.
+// batch, exercising the same score + pool + retry path Bind uses; on
+// success its record is what the next evalOne looks up.
 func evalOne(t *testing.T, en *engine, bn []int) {
 	t.Helper()
-	errs := en.runBatch(context.Background(), 1, func(worker, i int) error {
-		_, err := en.evaluate(context.Background(), worker, bn)
-		return err
-	})
+	_, errs := en.score(context.Background(), []solution{{bn: bn, key: bindingKey(bn)}})
 	if errs[0] != nil {
 		t.Fatalf("evaluation failed: %v", errs[0])
 	}
@@ -74,7 +69,7 @@ func TestExactCountsOnHealedInsertRetry(t *testing.T) {
 	en, bnA, bnB := statsHarness(t, inj, &stats)
 
 	evalOne(t, en, bnA) // miss; insert panics; retry recomputes: 1 miss, 1 retry
-	evalOne(t, en, bnA) // served from cache: 1 hit
+	evalOne(t, en, bnA) // answered from the previous batch: 1 hit
 	evalOne(t, en, bnB) // fresh key: 1 more miss
 
 	if h, m, r := stats.Hits(), stats.Misses(), stats.Retries(); h != 1 || m != 2 || r != 1 {
@@ -94,9 +89,10 @@ func TestExactCountsOnHealedInsertRetry(t *testing.T) {
 	}
 }
 
-// TestNoPhantomHitOnRetriedCompute panics at the first compute: nothing
-// was inserted, so the retry's second lookup must miss again — the hit
-// counter has to stay at zero until a later evaluation genuinely hits.
+// TestNoPhantomHitOnRetriedCompute panics at the first compute: no
+// batch has been kept yet, so the retry's second lookup must miss again
+// — the hit counter has to stay at zero until a later evaluation
+// genuinely hits.
 func TestNoPhantomHitOnRetriedCompute(t *testing.T) {
 	var stats CacheStats
 	inj := faultinject.New(faultinject.Fault{Point: HookCompute, Hit: 1, Kind: faultinject.Panic})
@@ -114,5 +110,14 @@ func TestNoPhantomHitOnRetriedCompute(t *testing.T) {
 	// Lookup seam: initial attempt, its retry, then the hit.
 	if got := inj.Count(HookCacheLookup); got != 3 {
 		t.Errorf("HookCacheLookup fired %d times, want 3", got)
+	}
+}
+
+// TestTransientNilAllocatesNothing pins the fast path runBatch takes for
+// every clean task: classifying a nil error must not allocate the
+// errors.As targets.
+func TestTransientNilAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = transient(nil) }); n != 0 {
+		t.Errorf("transient(nil) allocates %v objects per call, want 0", n)
 	}
 }

@@ -2,12 +2,11 @@ package bind
 
 // Contract tests for the engine's named hook points: the documented
 // firing order within one evaluation, and exactly-once semantics per
-// seam across a full Bind run at Parallelism 1 (sequential pre-engine
-// path, no cache) and Parallelism 4 (pool + memoization cache). The
-// counts that define the search — configurations swept, B-ITER rounds,
-// evaluations requested, pool tasks dispatched — must be identical at
-// both settings; only the cache seams may differ, and those must
-// reconcile exactly with CacheStats.
+// seam across a full Bind run at Parallelism 1 (one in-order worker) and
+// Parallelism 4 (a four-worker pool). Both run the same evaluation path,
+// so every seam — configurations swept, B-ITER rounds, evaluations,
+// pool tasks, lookups, computes, inserts — and both CacheStats counters
+// must be identical at the two settings and reconcile exactly.
 
 import (
 	"sync"
@@ -84,10 +83,10 @@ func equalSeq(a, b []string) bool {
 
 // TestHookCountsAcrossParallelism runs the full two-phase binder at
 // Parallelism 1 and 4 with a pure counting injector and requires (a)
-// identical results, (b) identical counts at every search-defining
-// seam, (c) cache seams silent at Parallelism 1 and exactly reconciled
-// with CacheStats at Parallelism 4, and (d) zero retries on a clean run
-// — i.e. HookPoolTask fired exactly once per dispatched task.
+// identical results, (b) identical counts at every seam and in both
+// CacheStats counters, (c) at each setting, one hit or miss per
+// evaluation and one insert per miss, and (d) zero retries on a clean
+// run — i.e. HookPoolTask fired exactly once per dispatched task.
 func TestHookCountsAcrossParallelism(t *testing.T) {
 	k, err := kernels.ByName("ARF")
 	if err != nil {
@@ -113,9 +112,10 @@ func TestHookCountsAcrossParallelism(t *testing.T) {
 			res1.L(), res1.Moves(), res4.L(), res4.Moves())
 	}
 
-	// The search itself is parallelism-invariant, so every seam that
-	// counts search structure must fire identically often.
-	for _, point := range []string{HookSweepConfig, HookIterRound, HookEvaluate, HookPoolTask} {
+	// Both settings run one evaluation path, so every seam fires
+	// identically often and the counters agree.
+	for _, point := range []string{HookSweepConfig, HookIterRound, HookEvaluate, HookPoolTask,
+		HookCacheLookup, HookCompute, HookCacheInsert} {
 		c1, c4 := inj1.Count(point), inj4.Count(point)
 		if c1 == 0 {
 			t.Errorf("%s never fired", point)
@@ -124,29 +124,27 @@ func TestHookCountsAcrossParallelism(t *testing.T) {
 			t.Errorf("%s fired %d times at par 1 but %d at par 4", point, c1, c4)
 		}
 	}
-
-	// Parallelism 1 is the exact pre-engine path: no cache, so the cache
-	// seams stay silent and every evaluation computes.
-	if c := inj1.Count(HookCacheLookup); c != 0 {
-		t.Errorf("par 1 fired HookCacheLookup %d times, want 0 (no cache)", c)
-	}
-	if c := inj1.Count(HookCacheInsert); c != 0 {
-		t.Errorf("par 1 fired HookCacheInsert %d times, want 0 (no cache)", c)
-	}
-	if ev, cp := inj1.Count(HookEvaluate), inj1.Count(HookCompute); ev != cp {
-		t.Errorf("par 1: %d evaluations but %d computes, want equal (uncached)", ev, cp)
+	if stats1.Hits() != stats4.Hits() || stats1.Misses() != stats4.Misses() {
+		t.Errorf("counters diverge: par1 (hits=%d, misses=%d) vs par4 (hits=%d, misses=%d)",
+			stats1.Hits(), stats1.Misses(), stats4.Hits(), stats4.Misses())
 	}
 
-	// Parallelism 4: one lookup per evaluation, one insert per counted
+	// At each setting: one lookup per evaluation, one insert per counted
 	// miss, and every evaluation resolves to exactly one hit or miss.
-	if ev, lk := inj4.Count(HookEvaluate), inj4.Count(HookCacheLookup); ev != lk {
-		t.Errorf("par 4: %d evaluations but %d cache lookups, want equal", ev, lk)
-	}
-	if got, want := stats4.Hits()+stats4.Misses(), inj4.Count(HookEvaluate); got != want {
-		t.Errorf("par 4: hits+misses = %d, want %d (one verdict per evaluation)", got, want)
-	}
-	if got, want := inj4.Count(HookCacheInsert), stats4.Misses(); got != want {
-		t.Errorf("par 4: %d insert firings, want %d (one per counted miss)", got, want)
+	for _, r := range []struct {
+		par   int
+		inj   *faultinject.Injector
+		stats *CacheStats
+	}{{1, inj1, stats1}, {4, inj4, stats4}} {
+		if ev, lk := r.inj.Count(HookEvaluate), r.inj.Count(HookCacheLookup); ev != lk {
+			t.Errorf("par %d: %d evaluations but %d cache lookups, want equal", r.par, ev, lk)
+		}
+		if got, want := r.stats.Hits()+r.stats.Misses(), r.inj.Count(HookEvaluate); got != want {
+			t.Errorf("par %d: hits+misses = %d, want %d (one verdict per evaluation)", r.par, got, want)
+		}
+		if got, want := r.inj.Count(HookCacheInsert), r.stats.Misses(); got != want {
+			t.Errorf("par %d: %d insert firings, want %d (one per counted miss)", r.par, got, want)
+		}
 	}
 
 	// Exactly-once per task attempt: a fault-free run retries nothing.

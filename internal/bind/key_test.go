@@ -7,8 +7,8 @@ import (
 	"vliwbind/internal/problem"
 )
 
-// bindingKey is both the B-ITER visited-set key and the memoization key
-// of the evaluation cache, so it must be injective over real bindings
+// bindingKey is both the B-ITER visited-set key and the engine's batch
+// dedup and lookup key, so it must be injective over real bindings
 // (cluster indices -1..numClusters-1) and cheap.
 
 func TestBindingKeyInjective(t *testing.T) {
@@ -37,8 +37,8 @@ func TestBindingKeyInjective(t *testing.T) {
 // is exactly the wrap onto the unbound marker; the test asserts the wrap
 // is where the gate says it is, so the gate and the encoding cannot
 // drift apart silently. Without the problem.New gate, a 256-cluster
-// machine would alias cluster 255 with "unbound" in both the evaluation
-// memo cache and B-ITER's plateau detection.
+// machine would alias cluster 255 with "unbound" in both the engine's
+// lookup and B-ITER's plateau detection.
 func TestBindingKeyInjectiveOnFullDomain(t *testing.T) {
 	seen := make(map[string]int)
 	for c := -1; c < problem.MaxClusters; c++ {

@@ -3,20 +3,21 @@ package bind_test
 // Determinism tests for the parallel evaluation engine: the engine's
 // contract is that Options.Parallelism changes only wall-clock time,
 // never results. These tests compare full Bind runs at Parallelism 1
-// (the exact sequential pre-engine code path) against Parallelism 8
-// (worker pool plus memoization cache) and require identical latency,
-// move count, AND identical binding vectors — not just equal quality.
-// The package's `make race` target runs them under the race detector,
-// which exercises the pool/cache synchronization.
+// (one in-order worker) against Parallelism 8 (an eight-worker pool) and
+// require identical latency, move count, AND identical binding vectors —
+// not just equal quality. The package's `make race` target runs them
+// under the race detector, which exercises the pool's synchronization.
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"vliwbind/internal/bind"
 	"vliwbind/internal/kernels"
 	"vliwbind/internal/leakcheck"
 	"vliwbind/internal/machine"
+	"vliwbind/internal/obs"
 )
 
 // sampleDatapaths are the machines every kernel is cross-checked on: the
@@ -75,11 +76,10 @@ func TestParallelismIsInvisible(t *testing.T) {
 	}
 }
 
-// TestCacheCountsHits pins down that the memoization cache actually
-// serves repeat candidates: a full two-phase Bind revisits perturbations
-// across rounds and across the Q_U→Q_M passes, so a healthy cache must
-// record hits, and hits+misses must cover at least the distinct
-// evaluations the sequential path would have performed.
+// TestCacheCountsHits pins down that the previous batch's records
+// actually answer repeat candidates: a full two-phase Bind revisits
+// perturbations across consecutive rounds and across the Q_U→Q_M
+// passes, so the engine must record hits as well as misses.
 func TestCacheCountsHits(t *testing.T) {
 	leakcheck.Check(t)
 	k, err := kernels.ByName("ARF")
@@ -104,24 +104,56 @@ func TestCacheCountsHits(t *testing.T) {
 	t.Logf("cache: %d misses, %d hits", stats.Misses(), stats.Hits())
 }
 
-// TestSequentialPathBypassesCache verifies Parallelism 1 really is the
-// pre-engine code path: no cache, so no counters move.
-func TestSequentialPathBypassesCache(t *testing.T) {
-	k, err := kernels.ByName("EWF")
+// TestNoBindingEvaluatedTwicePerRound binds a kernel whose B-ITER
+// perturbations repeat (a pair of boundary operations is enumerated once
+// per path that links them) and requires every round to evaluate each
+// distinct binding at most once, at any Parallelism. It also requires
+// that the repeats exist, so the check is not vacuous, and that some
+// candidates are answered from the previous batch's records.
+func TestNoBindingEvaluatedTwicePerRound(t *testing.T) {
+	k, err := kernels.ByName("ARF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := k.Build()
-	dp, err := machine.Parse("[2,1|1,1]", machine.Config{})
+	dp, err := machine.Parse("[2,1|2,1]", machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats bind.CacheStats
-	if _, err := bind.Bind(g, dp, bind.Options{Parallelism: 1, Stats: &stats}); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hits() != 0 || stats.Misses() != 0 {
-		t.Errorf("Parallelism 1 touched the cache: %d hits, %d misses",
-			stats.Hits(), stats.Misses())
+	for _, par := range []int{1, 4} {
+		var mu sync.Mutex
+		var rounds, enumerated, evals, hits int
+		var inRound map[string]bool // nil until the first B-ITER round
+		observer := obs.Func(func(e obs.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch e.Type {
+			case obs.EvIterRound:
+				rounds++
+				enumerated += e.Candidates
+				inRound = map[string]bool{}
+			case obs.EvEval:
+				if e.Cache == "hit" {
+					hits++
+				}
+				if inRound == nil {
+					return // the B-INIT sweep's batch
+				}
+				evals++
+				if inRound[e.Key] {
+					t.Errorf("par %d: B-ITER round %d evaluated binding %s twice", par, rounds, e.Key)
+				}
+				inRound[e.Key] = true
+			}
+		})
+		if _, err := bind.Bind(k.Build(), dp, bind.Options{Parallelism: par, Observer: observer}); err != nil {
+			t.Fatal(err)
+		}
+		if enumerated <= evals {
+			t.Errorf("par %d: %d candidates enumerated over %d rounds, %d evaluated; want repeats to exercise the dedup",
+				par, enumerated, rounds, evals)
+		}
+		if hits == 0 {
+			t.Errorf("par %d: no evaluation was answered from the previous batch", par)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // in up to 4 clusters: every clustering reaches the same
 // (L, moves, pressure, II), so the static port/cluster axes decide
 // dominance and the anchor set provably prunes half the space — the
-// configuration BENCH_pr10.json gates the pruning + pool fan-out win
-// on. Both sides use the full B-ITER binder per point.
+// configuration the retired BENCH_pr10.json gated the pruning + pool
+// fan-out win on. Both sides use the full B-ITER binder per point.
 func benchConfig(prune bool, par int) Config {
 	return Config{
 		Graph: chainGraph(22), Kernel: "chain22",

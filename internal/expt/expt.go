@@ -127,56 +127,7 @@ func Run(r Row) (Measurement, error) { return RunWith(r, bind.Options{}) }
 // and B-ITER (PCC is unaffected). Measured (L, M) values are identical
 // at any parallelism; only the times change.
 func RunWith(r Row, opts bind.Options) (Measurement, error) {
-	k, err := kernels.ByName(r.Kernel)
-	if err != nil {
-		return Measurement{}, err
-	}
-	g := k.Build()
-	dp, err := r.Datapath()
-	if err != nil {
-		return Measurement{}, err
-	}
-	m := Measurement{Row: r}
-
-	t0 := time.Now()
-	pres, err := pcc.Bind(g, dp, pcc.Options{Observer: opts.Observer})
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: pcc: %w", r.Name(), err)
-	}
-	m.PCCTime = time.Since(t0)
-	m.PCC = LM{pres.L(), pres.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "pcc", m.PCCTime)
-
-	t0 = time.Now()
-	ini, err := bind.Initial(g, dp, opts)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: b-init: %w", r.Name(), err)
-	}
-	m.InitTime = time.Since(t0)
-	m.Init = LM{ini.L(), ini.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "b-init", m.InitTime)
-
-	t0 = time.Now()
-	imp, err := bind.Bind(g, dp, opts)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("expt %s: b-iter: %w", r.Name(), err)
-	}
-	m.IterTime = time.Since(t0)
-	m.Iter = LM{imp.L(), imp.Moves()}
-	phaseEvent(opts.Observer, r.Name(), "b-iter", m.IterTime)
-
-	// Certify every measured solution before reporting it: a published
-	// (L, M) pair from an illegal schedule is worse than no result.
-	// Auditing sits outside the timed sections.
-	for _, v := range []struct {
-		algo string
-		res  *bind.Result
-	}{{"pcc", pres}, {"b-init", ini}, {"b-iter", imp}} {
-		if err := audit.Audit(v.res); err != nil {
-			return Measurement{}, fmt.Errorf("expt %s: %s result failed audit: %w", r.Name(), v.algo, err)
-		}
-	}
-	return m, nil
+	return RunBudgeted(context.Background(), r, opts, 0)
 }
 
 // RunBudgeted is RunWith under a per-row time budget: the three

@@ -1,9 +1,9 @@
 // Package faultinject is a deterministic, seam-level chaos layer for the
 // binding stack. The evaluation engine (internal/bind) exposes named hook
 // points — the worker pool, the driver sweep, the B-ITER rounds, the
-// evaluator, and the memo cache — through Options.Hook; an Injector is a
-// schedule of faults (panics, delays, context cancellations) fired at
-// chosen hit counts of chosen points. Schedules are either written out
+// evaluator, and the previous-batch lookup — through Options.Hook; an
+// Injector is a schedule of faults (panics, delays, context
+// cancellations) fired at chosen hit counts of chosen points. Schedules are either written out
 // explicitly (New) or derived from a seed (Seeded), so every chaotic run
 // is exactly reproducible from its inputs.
 //

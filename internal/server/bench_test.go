@@ -1,10 +1,11 @@
 package server
 
-// Served-latency trajectory for BENCH_pr9.json: a warm store hit
-// through the full HTTP stack (decode, admission, store lookup,
-// audit-on-read, response-time audit, encode) versus a cold bind
-// through the same stack. The gate asserts the shared cross-request
-// tier keeps paying for itself behind the daemon's front door.
+// Served-latency trajectory once gated by the retired BENCH_pr9.json: a
+// warm store hit through the full HTTP stack (decode, admission, store
+// lookup, audit-on-read, response-time audit, encode) versus a cold
+// bind through the same stack. That gate asserted the shared
+// cross-request tier kept paying for itself behind the daemon's front
+// door.
 
 import (
 	"net/http"

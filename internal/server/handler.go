@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -67,7 +66,8 @@ type bindResponse struct {
 }
 
 // maxRequestBody bounds how much of a request body the server reads; a
-// DFG past this size is not a binding job, it is a memory attack.
+// DFG past this size is not a binding job, it is a memory attack, and
+// it is answered 413.
 const maxRequestBody = 4 << 20
 
 func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
@@ -81,10 +81,15 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req bindRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeFailure(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.writeFailure(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	g, dp, algo, err := s.parseJob(req)

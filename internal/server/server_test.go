@@ -248,6 +248,27 @@ func TestBadRequestsFailWithDescriptiveErrors(t *testing.T) {
 	}
 }
 
+func TestOversizeBodyIs413(t *testing.T) {
+	leakcheck.Check(t)
+	s := newTestServer(t, Config{})
+	prefix, suffix := `{"dp":"[2,1|2,1]","dfg":"`, `"}`
+	body := prefix + strings.Repeat("x", maxRequestBody+1-len(prefix)-len(suffix)) + suffix
+	if len(body) != maxRequestBody+1 {
+		t.Fatalf("test body is %d bytes, want %d", len(body), maxRequestBody+1)
+	}
+	rec, resp := postBind(t, s, body)
+	if rec.Code != http.StatusRequestEntityTooLarge || resp.Outcome != OutcomeFailed {
+		t.Fatalf("status=%d outcome=%q error=%q, want 413 failed", rec.Code, resp.Outcome, resp.Error)
+	}
+	rec, resp = postBind(t, s, arfJob)
+	if rec.Code != http.StatusOK || resp.Outcome != OutcomeOK {
+		t.Fatalf("normal job after an oversize one: status=%d outcome=%q, want 200 ok", rec.Code, resp.Outcome)
+	}
+	if c := s.Counts(); c[OutcomeFailed] != 1 || c[OutcomeOK] != 1 {
+		t.Errorf("counts = %v, want one failed and one ok", c)
+	}
+}
+
 func TestDrainDegradesInFlightAndCompactsStore(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()

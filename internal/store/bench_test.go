@@ -41,9 +41,9 @@ func BenchmarkStoreResultKey(b *testing.B) {
 }
 
 // BenchmarkStoreLookup is the steady-state hit path of the store proper:
-// a Get on a resident key, including the LRU move-to-front. This is the
-// zero-allocation gate in BENCH_pr8.json — the map probe and the
-// intrusive list relink allocate nothing.
+// a Get on a resident key, including the LRU move-to-front. This was the
+// zero-allocation gate of the retired BENCH_pr8.json — the map probe and
+// the intrusive list relink allocate nothing.
 func BenchmarkStoreLookup(b *testing.B) {
 	s := NewMemory(0)
 	k := testKey("steady")

@@ -5,8 +5,8 @@ import "testing"
 // The pr8 trajectory pair: a full B-ITER search versus the same request
 // answered from a warm result store. The hit path still pays for
 // canonicalization, key derivation, re-evaluation of the transplanted
-// binding, and a full audit — the BENCH_pr8.json gate asserts that all
-// of that together is still far cheaper than re-searching.
+// binding, and a full audit. The retired BENCH_pr8.json gate asserted
+// that all of that together was still far cheaper than re-searching.
 
 func benchSetup(b *testing.B) (*Graph, *Datapath) {
 	b.Helper()

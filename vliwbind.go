@@ -163,10 +163,10 @@ type (
 	PCCOptions = pcc.Options
 	// Quality is a lexicographic quality vector (Q_U / Q_M).
 	Quality = bind.Quality
-	// CacheStats exposes hit/miss counters of the schedule-evaluation
-	// memoization cache; hand one to Options.Stats. The cache (and the
-	// evaluation worker pool) activate when Options.Parallelism resolves
-	// to more than 1; results are bit-identical at any setting.
+	// CacheStats exposes the binding engine's evaluation counters; hand
+	// one to Options.Stats. A hit is a candidate answered from the
+	// previous batch's records, a miss one that was list-scheduled.
+	// Results and counters are identical at any Options.Parallelism.
 	CacheStats = bind.CacheStats
 )
 
