@@ -1,8 +1,9 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: vet and gofmt, full build, full test suite, the race detector
 # over the packages with concurrency (the binding engine's worker pool,
-# plus the scheduler it fans out over), and the benchmark module's vet
-# and self-test.
+# the scheduler it fans out over, the store, the daemon, and the
+# explorer's parallel points), and the benchmark module's vet and
+# self-test.
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -22,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/bind/... ./internal/sched/... ./internal/store/... ./internal/server/... ./internal/sigctx/...
+	$(GO) test -race ./internal/bind/... ./internal/sched/... ./internal/store/... ./internal/server/... ./internal/sigctx/... ./internal/explore/...
 
 # The benchmark is its own module (cmd/vbench), so `go build ./...` and
 # `go test ./...` never compile it. It imports internal packages and the

@@ -450,7 +450,7 @@ func TestBoundaryOps(t *testing.T) {
 	b.Output(e)
 	g := b.Graph()
 	// a|c boundary between clusters: a and c are boundary, e is not.
-	ops := boundaryOps(g, []int{0, 1, 1})
+	ops := boundaryOps(nil, g, []int{0, 1, 1})
 	names := map[string]bool{}
 	for _, v := range ops {
 		names[v.Name()] = true
@@ -459,7 +459,7 @@ func TestBoundaryOps(t *testing.T) {
 		t.Errorf("boundary ops = %v, want {a c}", names)
 	}
 	// Uniform binding: no boundary ops.
-	if n := len(boundaryOps(g, []int{0, 0, 0})); n != 0 {
+	if n := len(boundaryOps(nil, g, []int{0, 0, 0})); n != 0 {
 		t.Errorf("uniform binding has %d boundary ops, want 0", n)
 	}
 }
@@ -637,14 +637,14 @@ func TestNeighborClusters(t *testing.T) {
 	// though its producer lives there.
 	dp := machine.MustParse("[1,0|1,1]", machine.Config{})
 	bn := []int{0, 1, 1}
-	if nc := neighborClusters(dp, g.NodeByName("c"), bn); len(nc) != 0 {
+	if nc := neighborClusters(nil, dp, g.NodeByName("c"), bn); len(nc) != 0 {
 		t.Errorf("neighborClusters(c) = %v, want empty (no mul in cluster 0)", nc)
 	}
-	if nc := neighborClusters(dp, g.NodeByName("e"), bn); len(nc) != 0 {
+	if nc := neighborClusters(nil, dp, g.NodeByName("e"), bn); len(nc) != 0 {
 		t.Errorf("neighborClusters(e) = %v, want empty (all neighbors in own cluster)", nc)
 	}
 	bn2 := []int{0, 1, 0}
-	nc := neighborClusters(dp, g.NodeByName("e"), bn2)
+	nc := neighborClusters(nil, dp, g.NodeByName("e"), bn2)
 	if len(nc) != 1 || nc[0] != 1 {
 		t.Errorf("neighborClusters(e) = %v, want [1]", nc)
 	}

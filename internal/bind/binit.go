@@ -297,15 +297,17 @@ func trcost(v *dfg.Node, c int, dp *machine.Datapath, bn []int, reverse bool) (c
 		return cost, trs
 	}
 	// Reverse: bound consumers pull v's result into their clusters; one
-	// transfer per distinct foreign cluster.
-	seen := make(map[int]*dfg.Node)
+	// transfer per distinct foreign cluster, each already in trs.
+succs:
 	for _, u := range v.Succs() {
 		if bu := bn[u.ID()]; bu >= 0 && bu != c {
-			if _, ok := seen[bu]; !ok {
-				seen[bu] = u
-				cost += hops(c, bu)
-				trs = append(trs, profile.Transfer{Prod: v, Cons: u, Src: c, Dest: bu})
+			for _, t := range trs {
+				if t.Dest == bu {
+					continue succs
+				}
 			}
+			cost += hops(c, bu)
+			trs = append(trs, profile.Transfer{Prod: v, Cons: u, Src: c, Dest: bu})
 		}
 	}
 	// Common-producer look-ahead: an unbound operand u of v that also
@@ -516,7 +518,7 @@ func initialSolutions(ctx context.Context, en *engine, opts Options) ([]solution
 		en.fire(HookSweepConfig)
 		var err error
 		bns[i], err = initialOnce(g, dp, configs[i].lpr, configs[i].reverse, opts)
-		if err == nil {
+		if err == nil && en.obs != nil {
 			// Rank is the 1-based sweep order: with score keeping the
 			// first occurrence of each binding, the lowest rank
 			// carrying a key identifies the config that minted it.
@@ -538,17 +540,19 @@ func initialSolutions(ctx context.Context, en *engine, opts Options) ([]solution
 		return nil, err
 	}
 	sort.SliceStable(sols, func(i, j int) bool {
-		if sols[i].rec.l != sols[j].rec.l {
-			return sols[i].rec.l < sols[j].rec.l
+		if sols[i].rec.l() != sols[j].rec.l() {
+			return sols[i].rec.l() < sols[j].rec.l()
 		}
-		return sols[i].rec.m < sols[j].rec.m
+		return sols[i].rec.m() < sols[j].rec.m()
 	})
 	if len(sols) > keep {
 		sols = sols[:keep]
 	}
-	for i, s := range sols {
-		en.emit(obs.Event{Type: obs.EvSweepSeed, Rank: i + 1,
-			Key: keyHex(s.bn), L: s.rec.l, M: s.rec.m, QU: s.rec.qu})
+	if en.obs != nil {
+		for i, s := range sols {
+			en.emit(obs.Event{Type: obs.EvSweepSeed, Rank: i + 1,
+				Key: keyHex(s.bn), L: s.rec.l(), M: s.rec.m(), QU: s.rec.qu})
+		}
 	}
 	return sols, nil
 }

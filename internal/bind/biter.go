@@ -3,6 +3,8 @@ package bind
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
@@ -59,14 +61,14 @@ func QualityM(s *sched.Schedule) Quality {
 
 // qualU and qualM are the evaluation-record forms of QualityU/QualityM —
 // what the improvement loop actually consumes, straight from the virtual
-// evaluator with no Schedule in sight.
+// evaluator with no Schedule in sight. Both are views into the record.
 func qualU(rec *evalRec) Quality { return rec.qu }
-func qualM(rec *evalRec) Quality { return Quality{rec.l, rec.m} }
+func qualM(rec *evalRec) Quality { return rec.qm[:] }
 
-// boundaryOps lists the operations with at least one producer or consumer
-// bound to a different cluster — the perturbation sites of Section 3.2.
-func boundaryOps(g *dfg.Graph, bn []int) []*dfg.Node {
-	var out []*dfg.Node
+// boundaryOps appends to dst the operations with at least one producer
+// or consumer bound to a different cluster — the perturbation sites of
+// Section 3.2 — in graph order.
+func boundaryOps(dst []*dfg.Node, g *dfg.Graph, bn []int) []*dfg.Node {
 	for _, v := range g.Nodes() {
 		c := bn[v.ID()]
 		found := false
@@ -85,107 +87,138 @@ func boundaryOps(g *dfg.Graph, bn []int) []*dfg.Node {
 			}
 		}
 		if found {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
-// neighborClusters returns the clusters, other than v's own, where v's
-// operands or results currently reside, filtered to v's target set.
-func neighborClusters(dp *machine.Datapath, v *dfg.Node, bn []int) []int {
-	c := bn[v.ID()]
-	seen := map[int]bool{c: true}
-	var out []int
-	consider := func(u *dfg.Node) {
-		d := bn[u.ID()]
-		if !seen[d] && dp.Supports(d, v.Op()) {
-			seen[d] = true
-			out = append(out, d)
+// neighborClusters appends to dst the clusters, other than v's own,
+// where v's operands or results currently reside, filtered to v's
+// target set, each once, in the order v's producers then consumers
+// reach them.
+func neighborClusters(dst []int, dp *machine.Datapath, v *dfg.Node, bn []int) []int {
+	c, base := bn[v.ID()], len(dst)
+	for _, us := range [2][]*dfg.Node{v.Preds(), v.Succs()} {
+		for _, u := range us {
+			if d := bn[u.ID()]; d != c && !slices.Contains(dst[base:], d) && dp.Supports(d, v.Op()) {
+				dst = append(dst, d)
+			}
 		}
 	}
-	for _, u := range v.Preds() {
-		consider(u)
-	}
-	for _, u := range v.Succs() {
-		consider(u)
-	}
-	return out
+	return dst
 }
 
-// candidate is one perturbed binding awaiting evaluation.
-type candidate struct {
-	ids      []int // perturbed node IDs
-	clusters []int // their new clusters
+// delta is one B-ITER candidate as a change to the current binding: op
+// v re-bound to cluster cv and, for a pair, op w to cluster cw (w is −1
+// for a single re-binding).
+type delta struct{ v, cv, w, cw int }
+
+// perturber enumerates the boundary perturbations of a binding. It keeps
+// its scratch across the rounds of a pass, so a round allocates nothing
+// once the slices have grown to the pass's largest neighbourhood.
+type perturber struct {
+	g       *dfg.Graph
+	dp      *machine.Datapath
+	noPairs bool
+	bops    []*dfg.Node // boundary ops of the current binding, in graph order
+	pos     []int       // ID-indexed: index in bops, or −1 off the boundary
+	nbrs    []int       // each boundary op's neighborClusters, back to back
+	nbrOff  []int       // bops[i]'s run in nbrs is nbrs[nbrOff[i]:nbrOff[i+1]]
+	done    []uint64    // bops×bops bitset of the pairs enumerated this round
+	out     []delta
 }
 
-// perturbations enumerates the boundary perturbations of the current
-// binding: each boundary operation re-bound to each cluster holding one of
-// its operands/results, and (unless disabled) pairs of adjacent boundary
+func newPerturber(g *dfg.Graph, dp *machine.Datapath, noPairs bool) *perturber {
+	pos := make([]int, g.NumNodes())
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &perturber{g: g, dp: dp, noPairs: noPairs, pos: pos}
+}
+
+// perturbations enumerates the boundary perturbations of binding bn:
+// each boundary operation re-bound to each cluster holding one of its
+// operands/results, and (unless disabled) pairs of adjacent boundary
 // operations re-bound together. Pairs are restricted to operations linked
 // by an edge or a common consumer, which is where single moves get stuck:
 // moving either op alone adds a transfer, moving both together does not.
-func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) []candidate {
-	bops := boundaryOps(g, bn)
-	isBoundary := make(map[int]bool, len(bops))
-	for _, v := range bops {
-		isBoundary[v.ID()] = true
+// A pair linked by several paths is enumerated once, where the scan
+// first reaches it, so every delta yields a distinct binding, and none
+// is bn itself. The returned slice is overwritten by the next call.
+func (p *perturber) perturbations(bn []int) []delta {
+	for _, v := range p.bops {
+		p.pos[v.ID()] = -1
 	}
-	var cands []candidate
-	if len(bops) == 0 {
+	p.bops = boundaryOps(p.bops[:0], p.g, bn)
+	p.out = p.out[:0]
+	if len(p.bops) == 0 {
 		// A move-free binding has no boundaries to perturb (possible when
 		// every connected component sits wholly inside one cluster). Fall
 		// back to plain single-op re-bindings so phase two can still
 		// trade a few transfers for parallelism.
-		for _, v := range g.Nodes() {
-			for _, d := range dp.TargetSet(v.Op()) {
+		for _, v := range p.g.Nodes() {
+			for _, d := range p.dp.TargetSet(v.Op()) {
 				if d != bn[v.ID()] {
-					cands = append(cands, candidate{ids: []int{v.ID()}, clusters: []int{d}})
+					p.out = append(p.out, delta{v: v.ID(), cv: d, w: -1})
 				}
 			}
 		}
-		return cands
+		return p.out
 	}
-	neigh := make(map[int][]int, len(bops))
-	for _, v := range bops {
-		nc := neighborClusters(dp, v, bn)
-		neigh[v.ID()] = nc
-		for _, d := range nc {
-			cands = append(cands, candidate{ids: []int{v.ID()}, clusters: []int{d}})
+	p.nbrs, p.nbrOff = p.nbrs[:0], append(p.nbrOff[:0], 0)
+	for i, v := range p.bops {
+		p.pos[v.ID()] = i
+		p.nbrs = neighborClusters(p.nbrs, p.dp, v, bn)
+		p.nbrOff = append(p.nbrOff, len(p.nbrs))
+		for _, d := range p.neighbors(i) {
+			p.out = append(p.out, delta{v: v.ID(), cv: d, w: -1})
 		}
 	}
-	if opts.NoPairs {
-		return cands
+	if p.noPairs {
+		return p.out
 	}
-	addPair := func(v, w *dfg.Node) {
-		if v.ID() >= w.ID() || !isBoundary[v.ID()] || !isBoundary[w.ID()] {
-			return
-		}
-		for _, dv := range neigh[v.ID()] {
-			for _, dw := range neigh[w.ID()] {
-				if dv == bn[v.ID()] && dw == bn[w.ID()] {
-					continue
-				}
-				cands = append(cands, candidate{ids: []int{v.ID(), w.ID()}, clusters: []int{dv, dw}})
-			}
-		}
-	}
-	for _, v := range bops {
+	words := (len(p.bops)*len(p.bops) + 63) / 64
+	p.done = slices.Grow(p.done[:0], words)[:words]
+	clear(p.done)
+	for _, v := range p.bops {
 		for _, w := range v.Succs() {
-			addPair(v, w)
-			addPair(w, v)
+			p.addPair(v, w)
+			p.addPair(w, v)
 		}
 		// Common-consumer pairs: v and w feed the same operation.
 		for _, u := range v.Succs() {
 			for _, w := range u.Preds() {
 				if w != v {
-					addPair(v, w)
-					addPair(w, v)
+					p.addPair(v, w)
+					p.addPair(w, v)
 				}
 			}
 		}
 	}
-	return cands
+	return p.out
+}
+
+// neighbors returns the neighbour clusters of boundary op bops[i].
+func (p *perturber) neighbors(i int) []int { return p.nbrs[p.nbrOff[i]:p.nbrOff[i+1]] }
+
+// addPair enumerates the joint re-bindings of boundary ops v and w when
+// v has the lower ID and the pair is new this round.
+func (p *perturber) addPair(v, w *dfg.Node) {
+	i, j := p.pos[v.ID()], p.pos[w.ID()]
+	if v.ID() >= w.ID() || i < 0 || j < 0 {
+		return
+	}
+	bit := i*len(p.bops) + j
+	if p.done[bit/64]&(1<<(bit%64)) != 0 {
+		return
+	}
+	p.done[bit/64] |= 1 << (bit % 64)
+	for _, dv := range p.neighbors(i) {
+		for _, dw := range p.neighbors(j) {
+			p.out = append(p.out, delta{v: v.ID(), cv: dv, w: w.ID(), cw: dw})
+		}
+	}
 }
 
 // improveWith runs the iterative boundary-perturbation loop under one
@@ -209,13 +242,15 @@ func perturbations(g *dfg.Graph, dp *machine.Datapath, bn []int, opts Options) [
 // panic injected at the round seam (HookIterRound) degrades the same
 // way; only a non-transient evaluation failure aborts with an error.
 func improveWith(ctx context.Context, en *engine, cur solution, pass string, quality func(*evalRec) Quality, sideways int, opts Options) (sol solution, cause error, err error) {
-	g, dp := en.p.Graph(), en.p.Datapath()
 	en.setPhase("biter." + pass)
 	stop := func(round int, verdict string) {
 		en.emit(obs.Event{Type: obs.EvIterStop, Pass: pass, Round: round, Verdict: verdict})
 	}
 	curQ := quality(cur.rec)
 	seen := map[string]bool{cur.key: true}
+	pt := newPerturber(en.p.Graph(), en.p.Datapath(), opts.NoPairs)
+	var keys []byte      // the round's candidate keys, back to back
+	var cands []solution // the round's candidates; the next round reuses it
 	plateau := 0
 	iter := 0
 	for ; opts.MaxIterations == 0 || iter < opts.MaxIterations; iter++ {
@@ -227,27 +262,28 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			stop(iter, "fault")
 			return cur, herr, nil
 		}
-		// Materialize this round's perturbed bindings, dropping no-ops
-		// and already-visited solutions. seen is read-only for the rest
-		// of the round, so the workers never touch it.
-		var cands []solution
-		for _, cand := range perturbations(g, dp, cur.bn, opts) {
-			bn := append([]int(nil), cur.bn...)
-			changed := false
-			for i, id := range cand.ids {
-				if bn[id] != cand.clusters[i] {
-					bn[id] = cand.clusters[i]
-					changed = true
-				}
+		// Key this round's perturbations, dropping already-visited
+		// solutions: each key is the current one with one or two bytes
+		// patched, and one string holds the whole round's keys. No
+		// binding is built here; a worker decodes each key into its own
+		// scratch. seen is read-only for the rest of the round, so the
+		// workers never touch it.
+		keys = keys[:0]
+		for _, d := range pt.perturbations(cur.bn) {
+			at := len(keys)
+			keys = append(keys, cur.key...)
+			keys[at+d.v] = keyByte(d.cv)
+			if d.w >= 0 {
+				keys[at+d.w] = keyByte(d.cw)
 			}
-			if !changed {
-				continue
+			if seen[string(keys[at:])] {
+				keys = keys[:at]
 			}
-			key := bindingKey(bn)
-			if seen[key] {
-				continue
-			}
-			cands = append(cands, solution{bn: bn, key: key})
+		}
+		round, n := string(keys), len(cur.key)
+		cands = cands[:0]
+		for at := 0; at < len(round); at += n {
+			cands = append(cands, solution{key: round[at : at+n]})
 		}
 		en.emit(obs.Event{Type: obs.EvIterRound, Pass: pass,
 			Round: iter + 1, Candidates: len(cands)})
@@ -267,7 +303,7 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			}
 			q := quality(s.rec)
 			if bestIdx < 0 || q.Less(bestQ) ||
-				(q.Equal(bestQ) && s.rec.m < sols[bestIdx].rec.m) {
+				(q.Equal(bestQ) && s.rec.m() < sols[bestIdx].rec.m()) {
 				bestIdx, bestQ = i, q
 			}
 		}
@@ -286,10 +322,16 @@ func improveWith(ctx context.Context, en *engine, cur solution, pass string, qua
 			stop(iter+1, "worse")
 			return cur, nil, nil
 		}
+		// Only the winner gets a binding of its own. Its key is copied
+		// out of the round's string, which seen would otherwise pin.
 		best := sols[bestIdx]
-		en.emit(obs.Event{Type: obs.EvIterAccept, Pass: pass, Round: iter + 1,
-			Verdict: verdict, Key: keyHex(best.bn), L: best.rec.l, M: best.rec.m,
-			Before: curQ, After: bestQ})
+		best.bn = decodeKey(make([]int, n), best.key)
+		best.key = strings.Clone(best.key)
+		if en.obs != nil {
+			en.emit(obs.Event{Type: obs.EvIterAccept, Pass: pass, Round: iter + 1,
+				Verdict: verdict, Key: keyHex(best.bn), L: best.rec.l(), M: best.rec.m(),
+				Before: curQ, After: bestQ})
+		}
 		cur, curQ = best, bestQ
 		seen[cur.key] = true
 	}
@@ -327,7 +369,7 @@ func ImproveContext(ctx context.Context, res *Result, opts Options) (*Result, er
 	start := solution{
 		bn:  res.Binding,
 		key: bindingKey(res.Binding),
-		rec: &evalRec{l: res.L(), m: res.Moves(), qu: QualityU(res.Schedule)},
+		rec: &evalRec{qm: [2]int{res.L(), res.Moves()}, qu: QualityU(res.Schedule)},
 	}
 	sol, cause, err := improve(ctx, en, start, opts)
 	if err != nil {
@@ -364,7 +406,7 @@ func improve(ctx context.Context, en *engine, sol solution, opts Options) (out s
 	}
 	// Keep the better of (phase input, improved): Q_M can only have kept
 	// or reduced moves at equal or better latency, but guard anyway.
-	if cur.rec.l > sol.rec.l || (cur.rec.l == sol.rec.l && cur.rec.m > sol.rec.m) {
+	if cur.rec.l() > sol.rec.l() || (cur.rec.l() == sol.rec.l() && cur.rec.m() > sol.rec.m()) {
 		return sol, cause, nil
 	}
 	return cur, cause, nil
@@ -421,8 +463,8 @@ func BindContext(ctx context.Context, g *dfg.Graph, dp *machine.Datapath, opts O
 		if err != nil {
 			return nil, err
 		}
-		if imp.rec.l < best.rec.l ||
-			(imp.rec.l == best.rec.l && imp.rec.m < best.rec.m) {
+		if imp.rec.l() < best.rec.l() ||
+			(imp.rec.l() == best.rec.l() && imp.rec.m() < best.rec.m()) {
 			best = imp
 		}
 		if cause != nil {

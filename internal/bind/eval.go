@@ -185,14 +185,18 @@ const (
 // Q_U quality vector. It deliberately carries no bound graph and no
 // Schedule — those are materialized once, for final winners only.
 type evalRec struct {
-	l, m int
-	qu   Quality // [L, U_0, U_1, …] — see QualityU
+	qm [2]int  // (L, N_MV): the Q_M vector — see QualityM
+	qu Quality // [L, U_0, U_1, …] — see QualityU
 }
+
+func (r *evalRec) l() int { return r.qm[0] }
+func (r *evalRec) m() int { return r.qm[1] }
 
 // solution pairs a binding with its bindingKey and evaluation record as
 // it flows through the driver sweep and the improvement passes. The key
-// is built once, where the binding is made, and serves both the batch's
-// dedup and lookup and B-ITER's visited set.
+// serves the batch's dedup and lookup and B-ITER's visited set, and is
+// all the engine needs to evaluate a candidate: a B-ITER candidate has
+// no bn until it is accepted.
 type solution struct {
 	bn  []int
 	key string
@@ -300,14 +304,17 @@ func backoffSleep(ctx context.Context, attempt int) {
 type engine struct {
 	p          *problem.Problem
 	pool       workerPool
-	evs        []*problem.Evaluator // per-worker scratch, created lazily
-	prev       map[string]*evalRec  // the last fully scored batch, by bindingKey; see score
-	stats      *CacheStats          // nil unless the caller asked for counters
-	hook       func(point string)   // nil unless the caller injects faults
-	maxRetries int                  // transient-failure retries per task
-	obs        obs.Observer         // nil unless the caller observes events
-	kernel     string               // graph name, stamped on every event
-	phase      string               // current engine phase; written only
+	ws         []scratch           // per-worker scratch; see scratch
+	quCap      int                 // a worker's Q_U arena capacity this batch; see score
+	quMax      int                 // longest Q_U of the last scored batch
+	prev       map[string]*evalRec // the last fully scored batch, by bindingKey; see score
+	spare      map[string]*evalRec // the next batch's table, swapped with prev
+	stats      *CacheStats         // nil unless the caller asked for counters
+	hook       func(point string)  // nil unless the caller injects faults
+	maxRetries int                 // transient-failure retries per task
+	obs        obs.Observer        // nil unless the caller observes events
+	kernel     string              // graph name, stamped on every event
+	phase      string              // current engine phase; written only
 	// between pool batches (the WaitGroup join orders the write against
 	// every worker read), so event emission never races on it
 }
@@ -323,7 +330,10 @@ func newEngine(g *dfg.Graph, dp *machine.Datapath, opts Options) (*engine, error
 	en := &engine{
 		p:          p,
 		pool:       workerPool{workers: opts.Parallelism},
-		evs:        make([]*problem.Evaluator, opts.Parallelism),
+		ws:         make([]scratch, opts.Parallelism),
+		quMax:      p.CriticalPath() + 1,
+		prev:       map[string]*evalRec{},
+		spare:      map[string]*evalRec{},
 		stats:      opts.Stats,
 		hook:       opts.Hook,
 		maxRetries: opts.TaskRetries,
@@ -374,15 +384,23 @@ func (en *engine) emit(e obs.Event) {
 // labels. Call only between pool batches (see the phase field).
 func (en *engine) setPhase(phase string) { en.phase = phase }
 
+// scratch is one pool worker's private state. Worker k's slot is only
+// ever touched by the goroutine running worker k's tasks, and batches
+// are separated by WaitGroup waits, so it is never accessed
+// concurrently and needs no lock.
+type scratch struct {
+	ev *problem.Evaluator // created lazily, dropped after a panic
+	bn []int              // the candidate being evaluated, decoded from its key
+	qu []int              // Q_U arena of the batch being scored; nil until the worker's first task
+}
+
 // discardScratch drops a worker's scratch evaluator after a panic: the
 // evaluator may have been mid-schedule when the stack unwound, and a
 // fresh one costs far less than reasoning about its partial state.
-// Worker k's slot is only ever touched by the goroutine currently
-// running worker k's tasks, so the write is unsynchronized by design;
 // -1 (a fireGuarded hook outside the pool) touches nothing.
 func (en *engine) discardScratch(worker int) {
-	if worker >= 0 && worker < len(en.evs) {
-		en.evs[worker] = nil
+	if worker >= 0 && worker < len(en.ws) {
+		en.ws[worker].ev = nil
 	}
 }
 
@@ -445,31 +463,17 @@ func (en *engine) runBatch(ctx context.Context, n int, task func(worker, i int) 
 }
 
 // evaluatorFor returns worker's private scratch evaluator, creating it
-// on first use. Worker k's tasks run on one goroutine per pool batch,
-// and batches are separated by WaitGroup waits, so the slot is never
-// accessed concurrently.
+// on first use.
 func (en *engine) evaluatorFor(worker int) *problem.Evaluator {
-	if en.evs[worker] == nil {
-		en.evs[worker] = en.p.NewEvaluator()
+	if en.ws[worker].ev == nil {
+		en.ws[worker].ev = en.p.NewEvaluator()
 	}
-	return en.evs[worker]
-}
-
-// compute runs one virtual evaluation on worker's scratch and snapshots
-// the record the binding algorithms need.
-func (en *engine) compute(worker int, bn []int) (*evalRec, error) {
-	en.fire(HookCompute)
-	ev := en.evaluatorFor(worker)
-	e, err := ev.Evaluate(bn)
-	if err != nil {
-		return nil, err
-	}
-	return &evalRec{l: e.L, m: e.M, qu: Quality(ev.AppendQualityU(nil))}, nil
+	return en.ws[worker].ev
 }
 
 // score is the engine's one evaluation path, shared by the B-INIT
 // driver sweep and every B-ITER round at any Parallelism. It takes
-// candidates with bn and key set and returns the distinct ones, in
+// candidates with key set and returns the distinct ones, in
 // first-occurrence order so enumeration order and every first-of-equals
 // tie-break are unchanged, with rec filled in, plus one error slot per
 // returned candidate. A binding the previous batch scored is answered
@@ -477,9 +481,16 @@ func (en *engine) compute(worker int, bn []int) (*evalRec, error) {
 // pool (misses). When every task succeeded (a failed task leaves no
 // record), this batch's records become the lookup table for the next
 // batch. The table is replaced only after the pool has joined, so
-// workers read it without a lock.
+// workers read it without a lock; it alternates between two maps,
+// cleared rather than reallocated.
+//
+// A batch's records live in one array, and their Q_U vectors in one
+// arena per worker, sized for the worker's share of the batch at the
+// previous batch's longest Q_U. A hit is copied in too, so a batch's
+// records never keep an older batch's memory alive.
 func (en *engine) score(ctx context.Context, cands []solution) ([]solution, []error) {
-	next := make(map[string]*evalRec, len(cands))
+	next := en.spare
+	clear(next)
 	uniq := cands[:0]
 	for _, c := range cands {
 		if _, dup := next[c.key]; !dup {
@@ -487,62 +498,90 @@ func (en *engine) score(ctx context.Context, cands []solution) ([]solution, []er
 			uniq = append(uniq, c)
 		}
 	}
+	recs := make([]evalRec, len(uniq))
+	workers := min(len(en.ws), len(uniq))
+	if workers > 0 {
+		en.quCap = (len(uniq) + workers - 1) / workers * en.quMax
+	}
+	for w := range en.ws {
+		en.ws[w].qu = nil // the last batch's records still point into the old arenas
+	}
 	errs := en.runBatch(ctx, len(uniq), func(worker, i int) error {
-		var err error
-		uniq[i].rec, err = en.evaluate(ctx, worker, uniq[i].bn, uniq[i].key)
-		return err
+		if err := en.evaluate(ctx, worker, uniq[i].key, &recs[i]); err != nil {
+			return err
+		}
+		uniq[i].rec = &recs[i]
+		return nil
 	})
 	for _, err := range errs {
 		if err != nil {
 			return uniq, errs
 		}
 	}
+	en.quMax = 0
 	for _, c := range uniq {
 		next[c.key] = c.rec
+		en.quMax = max(en.quMax, len(c.rec.qu))
 	}
-	en.prev = next
+	en.prev, en.spare = next, en.prev
 	return uniq, errs
 }
 
-// evaluate scores one binding of a batch: from the previous batch's
-// records when they hold key, by a virtual schedule otherwise. Records
-// are shared and must be treated as immutable by callers. A cancelled
-// context short-circuits to its cause before any work, and the miss
-// counter moves only after a fully successful computation — retried
-// tasks count once.
-func (en *engine) evaluate(ctx context.Context, worker int, bn []int, key string) (*evalRec, error) {
+// evaluate scores one binding of a batch into rec: from the previous
+// batch's records when they hold key, by a virtual schedule of the key
+// decoded into the worker's scratch otherwise. Records are shared and
+// must be treated as immutable by callers. A cancelled context
+// short-circuits to its cause before any work, and the miss counter
+// moves only after a fully successful computation — retried tasks count
+// once.
+func (en *engine) evaluate(ctx context.Context, worker int, key string, rec *evalRec) error {
 	en.fire(HookEvaluate)
 	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
+		return context.Cause(ctx)
 	}
+	ws := &en.ws[worker]
+	if ws.bn == nil {
+		ws.bn = make([]int, len(key))
+	}
+	if ws.qu == nil {
+		ws.qu = make([]int, 0, en.quCap)
+	}
+	bn, at := decodeKey(ws.bn, key), len(ws.qu)
+	verdict := "hit"
 	en.fire(HookCacheLookup)
 	if r, ok := en.prev[key]; ok {
-		// The eval event rides right next to the counter move, so a
-		// journal's per-verdict totals always equal the CacheStats a
-		// caller reads after the run.
+		rec.qm = r.qm
+		ws.qu = append(ws.qu, r.qu...)
 		if en.stats != nil {
 			en.stats.hits.Add(1)
 		}
-		if en.obs != nil {
-			en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu, Cache: "hit"})
+	} else {
+		en.fire(HookCompute)
+		ev := en.evaluatorFor(worker)
+		e, err := ev.Evaluate(bn)
+		if err != nil {
+			return err
 		}
-		return r, nil
+		rec.qm = [2]int{e.L, e.M}
+		ws.qu = ev.AppendQualityU(ws.qu)
+		// The insert hook fires before the counter moves: a panic
+		// injected here unwinds with the stats untouched, so the retry
+		// that follows recomputes and counts exactly once.
+		en.fire(HookCacheInsert)
+		if en.stats != nil {
+			en.stats.misses.Add(1)
+		}
+		verdict = "miss"
 	}
-	r, err := en.compute(worker, bn)
-	if err != nil {
-		return nil, err
-	}
-	// The insert hook fires before the counter moves: a panic injected
-	// here unwinds with the stats untouched, so the retry that follows
-	// recomputes and counts exactly once.
-	en.fire(HookCacheInsert)
-	if en.stats != nil {
-		en.stats.misses.Add(1)
-	}
+	rec.qu = ws.qu[at:len(ws.qu):len(ws.qu)]
+	// The eval event follows the counter move with nothing between them
+	// that can fail, so a journal's per-verdict totals always equal the
+	// CacheStats a caller reads after the run.
 	if en.obs != nil {
-		en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn), L: r.l, M: r.m, QU: r.qu, Cache: "miss"})
+		en.emit(obs.Event{Type: obs.EvEval, Key: keyHex(bn),
+			L: rec.l(), M: rec.m(), QU: rec.qu, Cache: verdict})
 	}
-	return r, nil
+	return nil
 }
 
 // materialize builds the full Result — bound graph, bound binding and
@@ -599,7 +638,7 @@ func (en *engine) materializeDegraded(sol solution, cause error) (*Result, error
 		msg = cause.Error()
 	}
 	en.emit(obs.Event{Type: obs.EvDegraded, Key: keyHex(sol.bn),
-		L: sol.rec.l, M: sol.rec.m, Err: msg})
+		L: sol.rec.l(), M: sol.rec.m(), Err: msg})
 	res.Degraded = true
 	res.Budget = cause
 	return res, nil

@@ -45,7 +45,8 @@ type Datapath struct {
 	linkCap  int   // per-link channel count (routed topologies)
 	memPorts int   // per-cluster memory ports (spill stores/loads)
 	spec     [dfg.NumFUTypes]ResourceSpec
-	total    [dfg.NumFUTypes]int // N(t): total FU count per type
+	total    [dfg.NumFUTypes]int   // N(t): total FU count per type
+	targets  [dfg.NumFUTypes][]int // TS per FU type; see TargetSet
 }
 
 // Config carries the tunable parameters of New. The zero value of each
@@ -163,7 +164,25 @@ func New(clusters []Cluster, cfg Config) (*Datapath, error) {
 		}
 	}
 	d.total[dfg.FUMem] = d.memPorts * len(clusters)
+	d.setTargets()
 	return d, nil
+}
+
+// setTargets computes the target set of every FU type once, so
+// TargetSet never allocates. The bus type's set depends on the channel
+// count, hence the recomputation in WithBuses. Each set is clipped to
+// its length, so an append by a caller copies instead of writing into
+// the shared array.
+func (d *Datapath) setTargets() {
+	for t := range d.targets {
+		var ts []int
+		for c := range d.clusters {
+			if d.NumFU(c, dfg.FUType(t)) > 0 {
+				ts = append(ts, c)
+			}
+		}
+		d.targets[t] = ts[:len(ts):len(ts)]
+	}
 }
 
 // setInterconnect installs ic and recomputes the derived channel
@@ -295,6 +314,7 @@ func (d *Datapath) WithBuses(n int) *Datapath {
 	}
 	nd.linkCap = n
 	nd.setInterconnect(ic)
+	nd.setTargets()
 	return &nd
 }
 
@@ -320,16 +340,9 @@ func (d *Datapath) Supports(c int, op dfg.OpType) bool {
 }
 
 // TargetSet returns TS(v) for an operation type: the clusters that have at
-// least one FU able to execute it, in cluster order.
-func (d *Datapath) TargetSet(op dfg.OpType) []int {
-	var ts []int
-	for c := range d.clusters {
-		if d.Supports(c, op) {
-			ts = append(ts, c)
-		}
-	}
-	return ts
-}
+// least one FU able to execute it, in cluster order. The slice is shared
+// by every caller and must not be mutated.
+func (d *Datapath) TargetSet(op dfg.OpType) []int { return d.targets[dfg.FUTypeOf(op)] }
 
 // CanRun reports whether every operation of g has a non-empty target set
 // on this datapath, returning a descriptive error otherwise.

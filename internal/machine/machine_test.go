@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"vliwbind/internal/dfg"
@@ -109,6 +110,36 @@ func TestTargetSet(t *testing.T) {
 	}
 	if !d.Supports(0, dfg.OpSub) {
 		t.Error("cluster 0 should support sub")
+	}
+}
+
+// TestTargetSetPrecomputed pins TargetSet to the set Supports derives,
+// for every operation type, on each interconnect and again after
+// WithBuses, and requires that it allocates nothing and hands out
+// slices an append cannot write through.
+func TestTargetSetPrecomputed(t *testing.T) {
+	for _, cfg := range []Config{{}, {Topology: TopoRing, LinkCap: 1}, {Topology: TopoP2P}} {
+		base := MustParse("[1,0|1,1|2,1]", cfg)
+		for _, d := range []*Datapath{base, base.WithBuses(3)} {
+			for op := dfg.OpInvalid; op <= dfg.OpLoad; op++ {
+				var want []int
+				for c := 0; c < d.NumClusters(); c++ {
+					if d.Supports(c, op) {
+						want = append(want, c)
+					}
+				}
+				ts := d.TargetSet(op)
+				if fmt.Sprint(ts) != fmt.Sprint(want) {
+					t.Errorf("%s %s: TargetSet(%s) = %v, want %v", cfg.Topology, d, op, ts, want)
+				}
+				if cap(ts) != len(ts) {
+					t.Errorf("%s %s: TargetSet(%s) has spare capacity %d", cfg.Topology, d, op, cap(ts)-len(ts))
+				}
+				if n := testing.AllocsPerRun(10, func() { _ = d.TargetSet(op) }); n != 0 {
+					t.Errorf("%s %s: TargetSet(%s) allocates %.0f objects", cfg.Topology, d, op, n)
+				}
+			}
+		}
 	}
 }
 

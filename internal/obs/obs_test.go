@@ -103,7 +103,6 @@ func TestMetricsDerivesCountersFromEvents(t *testing.T) {
 	m.Event(Event{Type: EvEval, Cache: "hit"})
 	m.Event(Event{Type: EvEval, Cache: "miss"})
 	m.Event(Event{Type: EvEval, Cache: "miss"})
-	m.Event(Event{Type: EvEval})
 	m.Event(Event{Type: EvSweepConfig})
 	m.Event(Event{Type: EvSweepSeed})
 	m.Event(Event{Type: EvIterRound, Pass: "qu"})
@@ -118,10 +117,9 @@ func TestMetricsDerivesCountersFromEvents(t *testing.T) {
 
 	s := m.Snapshot()
 	wantCounters := map[string]int64{
-		"evals":                4,
+		"evals":                3,
 		"cache.hits":           1,
 		"cache.misses":         2,
-		"cache.uncached":       1,
 		"sweep.configs":        1,
 		"sweep.seeds":          1,
 		"iter.rounds":          2,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/machine"
@@ -381,10 +382,9 @@ func (ls *Lister) hopChannels(k int32) []int {
 // U_0 … U_{L−1}, where U_i counts the nodes other than moves finishing
 // at cycle L−i — and returns the extended slice.
 func (ls *Lister) AppendProfile(dst []int) []int {
-	end := len(dst) + int(ls.L)
-	for range ls.L {
-		dst = append(dst, 0)
-	}
+	start, end := len(dst), len(dst)+int(ls.L)
+	dst = slices.Grow(dst, int(ls.L))[:end]
+	clear(dst[start:])
 	for k := int32(0); k < ls.n; k++ {
 		if !ls.isMove(k) {
 			dst[end-int(ls.Start[k]+ls.Lat[k])]++
