@@ -69,10 +69,12 @@ obs-smoke:
 
 # Result-store smoke: the store unit suite (journal round-trip,
 # crash-safety replay, the isomorphic-collision property) and the facade
-# tests that pin audit-on-read, then the CLI acceptance pair — two vbind
-# runs sharing a -store-dir, where the first must miss and the second
-# must be served from an audited hit — and finally the vbind test that
-# reconciles store.* journal events against the reported counters.
+# tests that pin certification (once per result: hits on read, fresh
+# results before they are published), then two CLI acceptance pairs —
+# two vbind runs and two vliwpipe (modulo) runs, each pair sharing a
+# -store-dir, where the first must miss and the second must be served
+# from an audited hit — and finally the vbind test that reconciles
+# store.* journal events against the reported counters.
 store-smoke:
 	$(GO) test ./internal/store -count 1
 	$(GO) test . -run 'TestStore|TestModuloPipelineStored' -count 1
@@ -80,6 +82,9 @@ store-smoke:
 	$(GO) run ./cmd/vbind -kernel EWF -algo iter -store-dir /tmp/vliwbind-store-smoke | grep 'result store: 0 hit(s), 1 miss(es)'
 	$(GO) run ./cmd/vbind -kernel EWF -algo iter -store-dir /tmp/vliwbind-store-smoke | grep 'result store: 1 hit(s), 0 miss(es)'
 	@test -s /tmp/vliwbind-store-smoke/results.jsonl || { echo "store-smoke: journal is empty"; exit 1; }
+	@rm -rf /tmp/vliwbind-store-smoke
+	$(GO) run ./cmd/vliwpipe -store-dir /tmp/vliwbind-store-smoke | grep 'result store: 0 hit(s), 1 miss(es)'
+	$(GO) run ./cmd/vliwpipe -store-dir /tmp/vliwbind-store-smoke | grep 'result store: 1 hit(s), 0 miss(es)'
 	@rm -rf /tmp/vliwbind-store-smoke
 	$(GO) test ./cmd/vbind -run '^TestStoreObsSmoke$$' -count 1
 

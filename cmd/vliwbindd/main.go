@@ -71,8 +71,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigc <-chan os.Signal, ha
 			return 1
 		}
 		defer st.Close()
-	} else {
-		st = vliwbind.NewMemoryStore(0)
 	}
 
 	srv, err := server.New(server.Config{
@@ -83,7 +81,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigc <-chan os.Signal, ha
 		MinBudget:       *minBudget,
 		DrainDeadline:   *drain,
 		RequestRetries:  *retries,
-		Store:           st,
+		Store:           st, // nil: the server's in-memory default
 		Metrics:         vliwbind.NewMetrics(),
 		BindOptions:     vliwbind.Options{Parallelism: *par},
 		Logf:            logger.Printf,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vliwbind/internal/dfg"
+	"vliwbind/internal/kernels"
 	"vliwbind/internal/machine"
 	"vliwbind/internal/problem"
 	"vliwbind/internal/sched"
@@ -265,14 +266,14 @@ func TestTrcostFigure3(t *testing.T) {
 	bn[v2.Node().ID()] = A
 
 	dp2 := machine.MustParse("[2,1|2,1]", machine.Config{})
-	costB, trsB := trcost(v.Node(), B, dp2, bn, false)
+	costB, trsB := trcost(nil, v.Node(), B, dp2, bn, false)
 	if costB != 2 {
 		t.Errorf("trcost(v,B) = %d, want 2 (dd=1 + cc=1)", costB)
 	}
 	if len(trsB) != 1 || trsB[0].Prod != v1.Node() || trsB[0].Dest != B {
 		t.Errorf("transfers for B = %+v, want one v1->B", trsB)
 	}
-	costA, trsA := trcost(v.Node(), A, dp2, bn, false)
+	costA, trsA := trcost(nil, v.Node(), A, dp2, bn, false)
 	if costA != 0 || len(trsA) != 0 {
 		t.Errorf("trcost(v,A) = %d with %d transfers, want 0/0", costA, len(trsA))
 	}
@@ -293,18 +294,39 @@ func TestTrcostReverse(t *testing.T) {
 	g := b.Graph()
 	bn := []int{-1, 1, 1}
 	dp2 := machine.MustParse("[2,1|2,1]", machine.Config{})
-	cost, trs := trcost(v.Node(), 0, dp2, bn, true)
+	cost, trs := trcost(nil, v.Node(), 0, dp2, bn, true)
 	if cost != 1 || len(trs) != 1 {
 		t.Errorf("reverse trcost = %d (%d transfers), want 1/1", cost, len(trs))
 	}
 	if trs[0].Prod != v.Node() || trs[0].Dest != 1 {
 		t.Errorf("reverse transfer = %+v, want v -> cluster 1", trs[0])
 	}
-	cost0, _ := trcost(v.Node(), 1, dp2, bn, true)
+	cost0, _ := trcost(nil, v.Node(), 1, dp2, bn, true)
 	if cost0 != 0 {
 		t.Errorf("reverse trcost same cluster = %d, want 0", cost0)
 	}
 	_ = g
+}
+
+// TestInitialAllocations holds a whole B-INIT driver sweep on a large
+// paper row under 2,000 allocated objects: every (op, cluster) probe of
+// the greedy pass reuses the same two transfer buffers instead of
+// allocating a list of its own (about 3,900 objects when each did).
+func TestInitialAllocations(t *testing.T) {
+	k, err := kernels.ByName("DCT-DIT-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, dp := k.Build(), machine.MustParse("[3,1|2,2|1,3]", machine.Config{})
+	n := testing.AllocsPerRun(3, func() {
+		if _, err = Initial(g, dp, Options{Parallelism: 1}); err != nil {
+			panic(err)
+		}
+	})
+	if n >= 2000 {
+		t.Errorf("Initial allocates %.0f objects per call, want < 2000", n)
+	}
+	t.Logf("Initial: %.0f objects per call", n)
 }
 
 func TestInitialOnceKeepsChainsTogether(t *testing.T) {

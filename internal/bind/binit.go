@@ -43,7 +43,7 @@ type Options struct {
 	// Seeds is how many distinct phase-one candidates Bind hands to the
 	// improvement phase (the driver keeps the best few, not just the
 	// single best, since a low-move initial solution can have no
-	// boundary operations left to perturb). Zero defaults to 3.
+	// boundary operations left to perturb). Zero defaults to 6.
 	Seeds int
 	// Parallelism sizes the shared worker pool that evaluates
 	// independent binding candidates: the (L_PR, direction) sweep of the
@@ -250,8 +250,8 @@ func orderNodes(g *dfg.Graph, times *dfg.Times, lat dfg.LatencyFn, reverse bool)
 
 // trcost computes the data-transfer penalty of Section 3.1.2 for binding v
 // to cluster c, together with the new bus transfers that binding implies
-// (used for buscost and committed afterwards). bn holds the partial
-// binding (-1 for unbound nodes).
+// (used for buscost and committed afterwards), appended to dst. bn holds
+// the partial binding (-1 for unbound nodes).
 //
 // Forward direction: the direct component counts bound producers in other
 // clusters (one transfer each, weighted by the route's hop count — one on
@@ -263,13 +263,14 @@ func orderNodes(g *dfg.Graph, times *dfg.Times, lat dfg.LatencyFn, reverse bool)
 // its bound consumers occupy, and the look-ahead counts operands shared
 // with already-bound consumers. Look-ahead components involve an unbound
 // endpoint, so no route is known and they count the one-hop minimum.
-func trcost(v *dfg.Node, c int, dp *machine.Datapath, bn []int, reverse bool) (cost int, trs []profile.Transfer) {
-	hops := func(src, dst int) int {
-		if r := dp.Route(src, dst); r != nil {
+func trcost(dst []profile.Transfer, v *dfg.Node, c int, dp *machine.Datapath, bn []int, reverse bool) (cost int, trs []profile.Transfer) {
+	hops := func(from, to int) int {
+		if r := dp.Route(from, to); r != nil {
 			return len(r)
 		}
 		return 1
 	}
+	trs = dst
 	if !reverse {
 		for _, u := range v.Preds() {
 			if bu := bn[u.ID()]; bu >= 0 && bu != c {
@@ -301,7 +302,7 @@ func trcost(v *dfg.Node, c int, dp *machine.Datapath, bn []int, reverse bool) (c
 succs:
 	for _, u := range v.Succs() {
 		if bu := bn[u.ID()]; bu >= 0 && bu != c {
-			for _, t := range trs {
+			for _, t := range trs[len(dst):] {
 				if t.Dest == bu {
 					continue succs
 				}
@@ -357,6 +358,9 @@ func initialOnce(g *dfg.Graph, dp *machine.Datapath, lpr int, reverse bool, opts
 	}
 	moveLat := float64(dp.MoveLat())
 	moveDII := float64(dp.MoveDII())
+	// The current probe's transfers and the best probe's so far: two
+	// buffers, swapped when a probe wins, serve every probe of the pass.
+	var trs, bestTrs []profile.Transfer
 	for _, v := range order {
 		ts := dp.TargetSet(v.Op())
 		if len(ts) == 0 {
@@ -364,11 +368,11 @@ func initialOnce(g *dfg.Graph, dp *machine.Datapath, lpr int, reverse bool, opts
 		}
 		bestC := -1
 		var bestCost, bestTr float64
-		var bestTrs []profile.Transfer
 		var bestFU int
 		var choices []obs.ClusterCost // explain breakdown, observer-only
 		for _, c := range ts {
-			tc, trs := trcost(v, c, dp, bn, reverse)
+			var tc int
+			tc, trs = trcost(trs[:0], v, c, dp, bn, reverse)
 			fu := prof.FUCost(v, c)
 			bus := prof.BusCost(trs)
 			cost := float64(fu)*opts.Alpha*float64(dp.DII(v.Op())) +
@@ -381,7 +385,8 @@ func initialOnce(g *dfg.Graph, dp *machine.Datapath, lpr int, reverse bool, opts
 				(cost == bestCost && float64(tc) < bestTr) ||
 				(cost == bestCost && float64(tc) == bestTr && fu < bestFU)
 			if better {
-				bestC, bestCost, bestTr, bestFU, bestTrs = c, cost, float64(tc), fu, trs
+				bestC, bestCost, bestTr, bestFU = c, cost, float64(tc), fu
+				trs, bestTrs = bestTrs, trs
 			}
 			if opts.Observer != nil {
 				choices = append(choices, obs.ClusterCost{

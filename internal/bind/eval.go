@@ -87,10 +87,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("bind: evaluation task panicked: %v", e.Value)
 }
 
-// transient reports whether err is worth retrying: recovered panics are,
+// Transient reports whether err is worth retrying: recovered panics are,
 // and so is any error that exposes Transient() bool reporting true (the
-// convention fault injectors and future remote evaluators can use).
-func transient(err error) bool {
+// convention fault injectors and future remote evaluators can use). The
+// engine retries such task failures itself; the daemon re-runs a whole
+// bind that still fails with one.
+func Transient(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -441,7 +443,7 @@ func (en *engine) runBatch(ctx context.Context, n int, task func(worker, i int) 
 	}
 	errs := en.pool.run(ctx, n, attempt, en.discardScratch)
 	for i := range errs {
-		for a := 1; a <= en.maxRetries && transient(errs[i]); a++ {
+		for a := 1; a <= en.maxRetries && Transient(errs[i]); a++ {
 			if ctx.Err() != nil {
 				errs[i] = context.Cause(ctx)
 				break

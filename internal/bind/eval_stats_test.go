@@ -117,7 +117,7 @@ func TestNoPhantomHitOnRetriedCompute(t *testing.T) {
 // every clean task: classifying a nil error must not allocate the
 // errors.As targets.
 func TestTransientNilAllocatesNothing(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { _ = transient(nil) }); n != 0 {
-		t.Errorf("transient(nil) allocates %v objects per call, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { _ = Transient(nil) }); n != 0 {
+		t.Errorf("Transient(nil) allocates %v objects per call, want 0", n)
 	}
 }

@@ -31,8 +31,8 @@ type FrontierConfig struct {
 }
 
 // RunFrontier explores the config's space with the full B-ITER binder
-// and dominance pruning on; every bound point is audited by the binding
-// stack underneath.
+// and dominance pruning on. It binds each point with bind.BindContext
+// directly, so no point is audited here.
 func RunFrontier(cfg FrontierConfig) (*explore.Result, error) {
 	k, err := kernels.ByName(cfg.Kernel)
 	if err != nil {

@@ -2,8 +2,8 @@ package server
 
 // Served-latency trajectory once gated by the retired BENCH_pr9.json: a
 // warm store hit through the full HTTP stack (decode, admission, store
-// lookup, audit-on-read, response-time audit, encode) versus a cold
-// bind through the same stack. That gate asserted the shared
+// lookup, audit-on-read, encode) versus a cold bind through the same
+// stack. That gate asserted the shared
 // cross-request tier kept paying for itself behind the daemon's front
 // door.
 
@@ -39,7 +39,7 @@ func serveOnce(b *testing.B, s *Server, wantSource string) {
 }
 
 // BenchmarkServeHit measures a served request answered from the warm
-// cross-request store (audited on read, re-audited at response time).
+// cross-request store (audited once, on read).
 func BenchmarkServeHit(b *testing.B) {
 	st := vliwbind.NewMemoryStore(0)
 	s := benchServer(b, st)
@@ -52,13 +52,15 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServeColdBind measures the same request with no store: a
-// full B-INIT + B-ITER search per request.
+// BenchmarkServeColdBind measures the same request against an empty
+// store: a full B-INIT + B-ITER search per request. The server always
+// binds through a store, so each request gets a fresh server.
 func BenchmarkServeColdBind(b *testing.B) {
-	s := benchServer(b, nil)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchServer(b, nil)
+		b.StartTimer()
 		serveOnce(b, s, "search")
 	}
 }

@@ -1,7 +1,9 @@
 package server
 
 // The /bind handler: request schema, admission control, the
-// degradation ladder, fault containment, and response certification.
+// degradation ladder, and fault containment. Certification is the
+// facade's: every bind runs through its store seam, which audits each
+// result it returns exactly once.
 
 import (
 	"context"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"vliwbind"
+	"vliwbind/internal/bind"
 )
 
 // bindRequest is the POST /bind job description. Exactly one of Kernel
@@ -49,11 +52,11 @@ type bindResponse struct {
 	L       int   `json:"l,omitempty"`
 	Moves   int   `json:"moves,omitempty"`
 	Binding []int `json:"binding,omitempty"`
-	// Audited is true on every 200: the result carried a fresh
-	// end-to-end AuditResult certificate when it was serialized.
+	// Audited is true on every 200: the facade's store seam certified
+	// the result with a fresh end-to-end audit, exactly once.
 	Audited bool `json:"audited,omitempty"`
 	// Source is "store" when the answer came from the cross-request
-	// result store (audited on read), "search" when freshly computed.
+	// result store, "search" when freshly computed.
 	Source string `json:"source,omitempty"`
 	// Reason explains a degraded or rejected outcome.
 	Reason string `json:"reason,omitempty"`
@@ -172,7 +175,7 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if float64(depth) > s.cfg.DegradePressure*float64(s.capacity()) {
-		if cap := maxDuration(s.cfg.MinBudget, s.ewma()); cap < budget {
+		if cap := max(s.cfg.MinBudget, s.ewma()); cap < budget {
 			budget, reason = cap, fmt.Sprintf("queue pressure (%d/%d)", depth, s.capacity())
 		}
 	}
@@ -191,9 +194,6 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	stats := &vliwbind.CacheStats{}
 	opts.Stats = stats
 	opts.Store = s.cfg.Store
-	if s.cfg.Hook != nil {
-		opts.Hook = s.cfg.Hook
-	}
 	if s.cfg.Metrics != nil {
 		opts.Observer = s.cfg.Metrics
 	}
@@ -208,7 +208,7 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 	backoff := time.Millisecond
 	for attempt := 0; ; attempt++ {
 		res, err = runBind(ctx, algo, g, dp, opts)
-		if err == nil || attempt >= s.cfg.RequestRetries || !transientFault(err) || ctx.Err() != nil {
+		if err == nil || attempt >= s.cfg.RequestRetries || !bind.Transient(err) || ctx.Err() != nil {
 			break
 		}
 		s.cfg.Logf("bind: transient fault (attempt %d/%d), retrying in %v: %v", attempt+1, s.cfg.RequestRetries, backoff, err)
@@ -230,14 +230,6 @@ func (s *Server) handleBind(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusGatewayTimeout
 		}
 		s.writeFailure(w, status, err)
-		return
-	}
-
-	// Never serve an uncertified answer: every 200 re-runs the full
-	// end-to-end audit at response time, independent of the engine's
-	// and the store's own checks.
-	if auditErr := vliwbind.AuditResult(res); auditErr != nil {
-		s.writeFailure(w, http.StatusInternalServerError, fmt.Errorf("result failed response-time audit: %w", auditErr))
 		return
 	}
 
@@ -348,11 +340,4 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

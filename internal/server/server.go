@@ -18,8 +18,8 @@
 //   - Fault containment. A worker panic (surfaced by the engine pool as
 //     *bind.PanicError after its own capped retries) fails only the one
 //     request; the server retries transient faults with exponential
-//     backoff before answering 500. Every 200 carries a fresh
-//     AuditResult certificate.
+//     backoff before answering 500. Every bind runs through the
+//     facade's store seam, so every 200 carries its one fresh audit.
 //
 // Lifecycle: Drain stops admission (readyz flips to 503), lets
 // in-flight jobs finish — force-degrading them at half the drain
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"vliwbind"
-	"vliwbind/internal/bind"
 )
 
 // Outcome classification: every response the server writes is exactly
@@ -88,17 +87,15 @@ type Config struct {
 	// transiently (recovered panic), on top of the engine's own
 	// per-task retries. Zero defaults to 1; negative disables.
 	RequestRetries int
-	// Store, when non-nil, is the shared cross-request result tier;
-	// repeated (isomorphic) requests are served from audited hits.
-	// Drain compacts and flushes its journal.
+	// Store is the shared cross-request result tier: repeated
+	// (isomorphic) requests are served from audited hits. Nil defaults
+	// to an in-memory store. Drain compacts and flushes its journal.
 	Store *vliwbind.ResultStore
 	// BindOptions is the base engine configuration applied to every
-	// request; per-request fields (Stats, Store, Observer, Hook) are
-	// overlaid on a copy. Validated by New.
+	// request; per-request fields (Stats, Store, Observer) are overlaid
+	// on a copy. Its Hook is the deterministic chaos seam
+	// (internal/faultinject). Validated by New.
 	BindOptions vliwbind.Options
-	// Hook, when non-nil, is installed as BindOptions.Hook on every
-	// request — the deterministic chaos seam (internal/faultinject).
-	Hook func(point string)
 	// Metrics, when non-nil, observes every bind and is served under
 	// /metrics next to the server's own counters.
 	Metrics *vliwbind.Metrics
@@ -109,7 +106,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		c.Workers = defaultWorkers()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.Workers
@@ -139,6 +136,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
+	}
+	if c.Store == nil {
+		c.Store = vliwbind.NewMemoryStore(0)
 	}
 	return c
 }
@@ -279,15 +279,12 @@ func (s *Server) Drain() error {
 		}
 	}
 	s.baseCancel(errDraining) // release the watcher either way
-	if s.cfg.Store != nil {
-		cs, err := s.cfg.Store.Compact()
-		if err != nil {
-			if drainErr == nil {
-				drainErr = fmt.Errorf("server: drain-time store compaction: %w", err)
-			}
-		} else {
-			s.cfg.Logf("drain: store journal compacted to %d live entrie(s), %d dropped", cs.Live, cs.Dropped)
+	if cs, err := s.cfg.Store.Compact(); err != nil {
+		if drainErr == nil {
+			drainErr = fmt.Errorf("server: drain-time store compaction: %w", err)
 		}
+	} else {
+		s.cfg.Logf("drain: store journal compacted to %d live entrie(s), %d dropped", cs.Live, cs.Dropped)
 	}
 	if drainErr == nil {
 		s.cfg.Logf("drain: complete")
@@ -330,26 +327,6 @@ func (s *Server) predictWait(depth int64) time.Duration {
 		ahead = 0
 	}
 	return time.Duration(ahead) * s.ewma() / time.Duration(s.cfg.Workers)
-}
-
-// transientFault reports whether err is worth a server-side re-run: a
-// contained worker panic (the engine already exhausted its per-task
-// retries) or an error that self-identifies as transient.
-func transientFault(err error) bool {
-	var pe *bind.PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tr interface{ Transient() bool }
-	return errors.As(err, &tr) && tr.Transient()
-}
-
-// defaultWorkers mirrors the engine's default parallelism source.
-func defaultWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -91,6 +91,34 @@ func TestBindServesStoreHitAudited(t *testing.T) {
 	}
 }
 
+// TestBindCertifiesEachAnswerOnce: every 200 comes through the facade's
+// store seam — a server configured without a store serves through an
+// in-memory one — and the seam certifies each answer exactly once. A
+// fresh search, the same job again (a store hit) and a budget-degraded
+// job each add one "audit" phase to the metrics; the handler adds none
+// of its own.
+func TestBindCertifiesEachAnswerOnce(t *testing.T) {
+	leakcheck.Check(t)
+	metrics := vliwbind.NewMetrics()
+	s := newTestServer(t, Config{Metrics: metrics})
+	audits := func() int64 { return metrics.Snapshot().Phases["audit"].Count }
+	for _, c := range []struct{ what, body, outcome, source string }{
+		{"fresh", arfJob, OutcomeOK, "search"},
+		{"hit", arfJob, OutcomeOK, "store"},
+		{"degraded", `{"kernel":"DCT-DIT-2","dp":"[1,1|1,1|1,1|1,1|1,1|1,1]","deadline_ms":10000,"budget_ms":60}`, OutcomeDegraded, "search"},
+	} {
+		before := audits()
+		rec, resp := postBind(t, s, c.body)
+		if rec.Code != http.StatusOK || resp.Outcome != c.outcome || resp.Source != c.source || !resp.Audited {
+			t.Fatalf("%s: status=%d outcome=%q source=%q audited=%v, want 200 %s from %s, audited (body %s)",
+				c.what, rec.Code, resp.Outcome, resp.Source, resp.Audited, c.outcome, c.source, rec.Body)
+		}
+		if n := audits() - before; n != 1 {
+			t.Errorf("%s: %d audits, want exactly 1", c.what, n)
+		}
+	}
+}
+
 func TestAdmissionRejectsSubMinimumDeadline(t *testing.T) {
 	leakcheck.Check(t)
 	s := newTestServer(t, Config{})
@@ -171,8 +199,7 @@ func TestPanicContainedAndRetriedServerSide(t *testing.T) {
 	// heals it.
 	inj := faultinject.New(faultinject.Fault{Point: bind.HookCompute, Hit: 1, Kind: faultinject.Panic})
 	s := newTestServer(t, Config{
-		Hook:        inj.At,
-		BindOptions: vliwbind.Options{TaskRetries: -1, Parallelism: 2},
+		BindOptions: vliwbind.Options{TaskRetries: -1, Parallelism: 2, Hook: inj.At},
 	})
 	rec, resp := postBind(t, s, arfJob)
 	if rec.Code != http.StatusOK || resp.Outcome != OutcomeOK {
@@ -193,9 +220,8 @@ func TestPanicFailsOnlyThatRequest(t *testing.T) {
 		faultinject.Fault{Point: bind.HookCompute, Hit: 2, Kind: faultinject.Panic},
 	)
 	s := newTestServer(t, Config{
-		Hook:           inj.At,
 		RequestRetries: -1,
-		BindOptions:    vliwbind.Options{TaskRetries: -1, Parallelism: 2},
+		BindOptions:    vliwbind.Options{TaskRetries: -1, Parallelism: 2, Hook: inj.At},
 	})
 	rec, resp := postBind(t, s, arfJob)
 	if rec.Code != http.StatusInternalServerError || resp.Outcome != OutcomeFailed {
@@ -280,7 +306,7 @@ func TestDrainDegradesInFlightAndCompactsStore(t *testing.T) {
 	// Slow every B-ITER round so the job genuinely outlives the drain
 	// grace period and must be force-degraded.
 	inj := faultinject.New(faultinject.Fault{Point: bind.HookIterRound, Kind: faultinject.Delay, Delay: 300 * time.Millisecond})
-	s := newTestServer(t, Config{Store: st, DrainDeadline: 2 * time.Second, Hook: inj.At})
+	s := newTestServer(t, Config{Store: st, DrainDeadline: 2 * time.Second, BindOptions: vliwbind.Options{Hook: inj.At}})
 
 	type reply struct {
 		code int

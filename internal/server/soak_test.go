@@ -105,9 +105,8 @@ func TestChaosSoak(t *testing.T) {
 		QueueDepth:    16,
 		Store:         st,
 		Metrics:       metrics,
-		Hook:          inj.At,
 		DrainDeadline: 10 * time.Second,
-		BindOptions:   vliwbind.Options{Parallelism: 2},
+		BindOptions:   vliwbind.Options{Parallelism: 2, Hook: inj.At},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +146,8 @@ func TestChaosSoak(t *testing.T) {
 				}
 				clientCounts[slot].Add(1)
 				if rec.Code == http.StatusOK {
-					// The uncertified-response check: every 200 carries a
-					// response-time audit certificate and a solution.
+					// The uncertified-response check: every 200 carries the
+					// store seam's audit certificate and a solution.
 					if !resp.Audited {
 						t.Errorf("request %d: 200 without audit certificate: %s", i, rec.Body)
 						failures.Add(1)

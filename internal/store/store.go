@@ -273,9 +273,11 @@ func (s *Store) Len() int {
 	return len(s.byKey)
 }
 
-// Get returns the entry stored under k, or nil. The returned Entry is a
-// copy-by-value snapshot holding shared slices; callers must treat the
-// slice contents as immutable. A hit refreshes the entry's recency.
+// Get returns the entry stored under k, or nil. The returned Entry is
+// never written again — a later Put under the same key replaces it
+// instead — so callers may read it without holding the lock; its slices
+// are shared and must be treated as immutable. A hit refreshes the
+// entry's recency.
 func (s *Store) Get(k Key) *Entry {
 	if s == nil {
 		return nil
@@ -359,11 +361,8 @@ func (s *Store) Close() error {
 }
 
 func (s *Store) putLocked(e Entry) {
-	if n := s.byKey[e.Key]; n != nil {
-		n.ent = e
-		s.unlink(n)
-		s.pushFront(n)
-		return
+	if old := s.byKey[e.Key]; old != nil {
+		s.unlink(old) // readers may still hold &old.ent (see Get)
 	}
 	n := &lruNode{ent: e}
 	s.byKey[e.Key] = n

@@ -299,6 +299,34 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestGetEntryNeverRewritten: an entry Get returned is never written
+// again, so a caller may read it while another goroutine replaces the
+// same key. Under -race (make race) a Put that overwrote the resident
+// entry in place would be reported here.
+func TestGetEntryNeverRewritten(t *testing.T) {
+	leakcheck.Check(t)
+	s := NewMemory(0)
+	s.Put(bindEntry("a", 0))
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= 500; i++ {
+			s.Put(bindEntry("a", i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			if e := s.Get(testKey("a")); e == nil || e.Kind != KindIter || e.L < 0 || len(e.Binding) != 3 {
+				t.Errorf("Get = %+v, want a resident bind:iter entry", e)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // TestResultKeySeparatesRequests pins the key derivation: kind, machine,
 // and option bytes each split the key space on their own.
 func TestResultKeySeparatesRequests(t *testing.T) {

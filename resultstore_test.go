@@ -401,3 +401,181 @@ func TestStoreOptionSeparation(t *testing.T) {
 		t.Errorf("cost weights did not split the key: misses=%d, want 2", m)
 	}
 }
+
+// audits counts the facade certifications the recorder saw: one "audit"
+// phase event each.
+func (r *recorder) audits() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, e := range r.events {
+		if e.Type == obs.EvPhase && e.Name == "audit" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStoreCertifiesEachResultOnce: with a store attached, every result
+// the seam returns is certified exactly once — a miss's fresh result
+// before it is published, a hit at adoption, and the result of a
+// request the store cannot key (an empty graph) on its way out — for
+// both binding kinds and for modulo schedules. A degraded bind is
+// certified once, with or without a store; a complete bind without a
+// store is not audited by the facade at all.
+func TestStoreCertifiesEachResultOnce(t *testing.T) {
+	dp := storeTestDatapath(t)
+	ctx := context.Background()
+	type step struct {
+		what         string
+		hits, misses int64
+	}
+	steps := []step{{"miss", 0, 1}, {"hit", 1, 1}, {"unkeyable", 1, 1}}
+	for _, kind := range []struct {
+		name string
+		run  func(unkeyable bool, st *ResultStore, stats *CacheStats, o Observer) error
+	}{
+		{store.KindIter, func(unkeyable bool, st *ResultStore, stats *CacheStats, o Observer) error {
+			g := KernelMust("EWF")
+			if unkeyable {
+				g = NewGraph("empty").Graph()
+			}
+			_, err := Bind(g, dp, Options{Parallelism: 1, Store: st, Stats: stats, Observer: o})
+			return err
+		}},
+		{store.KindInit, func(unkeyable bool, st *ResultStore, stats *CacheStats, o Observer) error {
+			g := KernelMust("EWF")
+			if unkeyable {
+				g = NewGraph("empty").Graph()
+			}
+			_, err := InitialBind(g, dp, Options{Parallelism: 1, Store: st, Stats: stats, Observer: o})
+			return err
+		}},
+		{store.KindModulo, func(unkeyable bool, st *ResultStore, stats *CacheStats, o Observer) error {
+			l := ewfLoop()
+			if unkeyable {
+				l = &Loop{Body: NewGraph("empty").Graph()}
+			}
+			_, err := ModuloPipelineStored(ctx, l, dp, ModuloOptions{}, st, stats, o)
+			return err
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			st := NewMemoryStore(0)
+			var stats CacheStats
+			rec := &recorder{}
+			for _, s := range steps {
+				before := rec.audits()
+				if err := kind.run(s.what == "unkeyable", st, &stats, rec); err != nil {
+					t.Fatalf("%s: %v", s.what, err)
+				}
+				if n := rec.audits() - before; n != 1 {
+					t.Errorf("%s: %d audits, want exactly 1", s.what, n)
+				}
+				if h, m := stats.StoreHits(), stats.StoreMisses(); h != s.hits || m != s.misses {
+					t.Errorf("%s: hits=%d misses=%d, want %d/%d", s.what, h, m, s.hits, s.misses)
+				}
+			}
+		})
+	}
+
+	// Degraded binds: expire the budget at the first B-ITER round.
+	degraded := func(st *ResultStore, rec *recorder) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var once sync.Once
+		opts := Options{Parallelism: 1, Store: st, Observer: rec, Hook: func(point string) {
+			if point == bind.HookIterRound {
+				once.Do(cancel)
+			}
+		}}
+		res, err := BindContext(ctx, KernelMust("EWF"), dp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degraded {
+			t.Fatal("bind under an expired budget did not degrade")
+		}
+		if n := rec.audits(); n != 1 {
+			t.Errorf("degraded bind (store %v): %d audits, want exactly 1", st != nil, n)
+		}
+	}
+	degraded(NewMemoryStore(0), &recorder{})
+	degraded(nil, &recorder{})
+
+	rec := &recorder{}
+	if _, err := Bind(KernelMust("EWF"), dp, Options{Parallelism: 1, Observer: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.audits(); n != 0 {
+		t.Errorf("complete bind without a store: %d audits, want 0", n)
+	}
+}
+
+// TestStoreRefusesCorruptSearchResult: a search result altered after
+// scheduling — a binding that no longer matches its bound graph and
+// schedule, or a modulo move slot moved onto its producer's own
+// cluster — fails certification at the seam. The caller gets an error,
+// nothing is published, and the next identical request misses and
+// searches again.
+func TestStoreRefusesCorruptSearchResult(t *testing.T) {
+	t.Run("bind", func(t *testing.T) {
+		g, dp := KernelMust("EWF"), storeTestDatapath(t)
+		st := NewMemoryStore(0)
+		var stats CacheStats
+		opts := Options{Parallelism: 1, Store: st, Stats: &stats}
+		corrupt := func() (*Result, error) {
+			res, err := bind.Bind(g, dp, opts)
+			if err == nil {
+				res.Binding[0] = (res.Binding[0] + 1) % dp.NumClusters()
+			}
+			return res, err
+		}
+		if res, err := bindThroughStore(g, dp, opts, store.KindIter, corrupt); err == nil {
+			t.Fatalf("corrupt result served (L=%d M=%d)", res.L(), res.Moves())
+		}
+		if st.Len() != 0 {
+			t.Fatalf("corrupt result published: store holds %d entries", st.Len())
+		}
+		if _, err := Bind(g, dp, opts); err != nil {
+			t.Fatal(err)
+		}
+		if h, m := stats.StoreHits(), stats.StoreMisses(); h != 0 || m != 2 {
+			t.Errorf("hits=%d misses=%d, want 0/2", h, m)
+		}
+	})
+	t.Run("modulo", func(t *testing.T) {
+		dp, err := ParseDatapath("[2,1|2,1]", DatapathConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		st := NewMemoryStore(0)
+		var stats CacheStats
+		l := ewfLoop()
+		corrupt := func() (*PipelinedSchedule, error) {
+			ps, err := ModuloPipelineContext(ctx, l, dp, ModuloOptions{})
+			if err != nil {
+				return nil, err
+			}
+			if len(ps.Moves) == 0 {
+				t.Fatal("schedule has no move slot to corrupt")
+			}
+			ps.Moves[0].Dest = ps.Cluster[ps.Moves[0].Prod.ID()]
+			return ps, nil
+		}
+		if _, err := throughStore(st, &stats, nil, store.KindModulo, l.Body, dp, moduloKind{l, dp, ModuloOptions{}}, corrupt); err == nil {
+			t.Fatal("corrupt schedule served")
+		}
+		if st.Len() != 0 {
+			t.Fatalf("corrupt schedule published: store holds %d entries", st.Len())
+		}
+		if _, err := ModuloPipelineStored(ctx, ewfLoop(), dp, ModuloOptions{}, st, &stats, nil); err != nil {
+			t.Fatal(err)
+		}
+		if h, m := stats.StoreHits(), stats.StoreMisses(); h != 0 || m != 2 {
+			t.Errorf("hits=%d misses=%d, want 0/2", h, m)
+		}
+	})
+}

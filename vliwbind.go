@@ -211,7 +211,8 @@ func MultiObserver(sinks ...Observer) Observer { return obs.Multi(sinks...) }
 // Bind runs the full two-phase algorithm (B-INIT driver + B-ITER).
 // With Options.Store attached, an isomorphic request seen before is
 // served from the store after passing a fresh end-to-end audit, and a
-// completed search publishes its result for the next request.
+// fresh result passes the same audit before it is returned or
+// published for the next request.
 func Bind(g *Graph, dp *Datapath, opts Options) (*Result, error) {
 	return bindThroughStore(g, dp, opts, store.KindIter, func() (*Result, error) {
 		return bind.Bind(g, dp, opts)
@@ -262,14 +263,13 @@ func Optimal(g *Graph, dp *Datapath, maxOps int) (*Result, error) {
 
 // auditDegraded certifies a budget-degraded result before it leaves the
 // facade: degradation is about how far the search got, never about the
-// legality of the binding, and auditing enforces exactly that. Complete
-// results pass through untouched — their certification lives in the
-// test and experiment layers, as before.
-func auditDegraded(res *Result, err error) (*Result, error) {
+// legality of the binding. Without a store, complete results pass
+// through untouched; with one, the store seam certifies every result.
+func auditDegraded(o Observer, res *Result, err error) (*Result, error) {
 	if err != nil || res == nil || !res.Degraded {
 		return res, err
 	}
-	if aerr := audit.Audit(res); aerr != nil {
+	if aerr := certify(o, res.Graph.Name(), func() error { return audit.Audit(res) }); aerr != nil {
 		return nil, aerr
 	}
 	return res, nil
@@ -281,7 +281,7 @@ func auditDegraded(res *Result, err error) (*Result, error) {
 // B-INIT's (L, moves) on the same input.
 func BindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Result, error) {
 	return bindThroughStore(g, dp, opts, store.KindIter, func() (*Result, error) {
-		return auditDegraded(bind.BindContext(ctx, g, dp, opts))
+		return bind.BindContext(ctx, g, dp, opts)
 	})
 }
 
@@ -290,38 +290,43 @@ func BindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Re
 // it completes returns an error wrapping context.Cause.
 func InitialBindContext(ctx context.Context, g *Graph, dp *Datapath, opts Options) (*Result, error) {
 	return bindThroughStore(g, dp, opts, store.KindInit, func() (*Result, error) {
-		return auditDegraded(bind.InitialContext(ctx, g, dp, opts))
+		return bind.InitialContext(ctx, g, dp, opts)
 	})
 }
 
 // ImproveBindContext is ImproveBind as an anytime algorithm: the input
 // result is the floor and the returned binding is never worse than it.
 func ImproveBindContext(ctx context.Context, res *Result, opts Options) (*Result, error) {
-	return auditDegraded(bind.ImproveContext(ctx, res, opts))
+	out, err := bind.ImproveContext(ctx, res, opts)
+	return auditDegraded(opts.Observer, out, err)
 }
 
 // BindPCCContext is BindPCC under a context; cancellation after the
 // first decomposition has been evaluated degrades to the best-so-far.
 func BindPCCContext(ctx context.Context, g *Graph, dp *Datapath, opts PCCOptions) (*Result, error) {
-	return auditDegraded(pcc.BindContext(ctx, g, dp, opts))
+	res, err := pcc.BindContext(ctx, g, dp, opts)
+	return auditDegraded(opts.Observer, res, err)
 }
 
 // BindAnnealContext is BindAnneal under a context; cancellation after
 // the initial partitioning degrades to the best binding observed.
 func BindAnnealContext(ctx context.Context, g *Graph, dp *Datapath, opts AnnealOptions) (*Result, error) {
-	return auditDegraded(anneal.BindContext(ctx, g, dp, opts))
+	res, err := anneal.BindContext(ctx, g, dp, opts)
+	return auditDegraded(opts.Observer, res, err)
 }
 
 // BindMinCutContext is BindMinCut under a context; cancellation after
 // the initial partition degrades to the current partition.
 func BindMinCutContext(ctx context.Context, g *Graph, dp *Datapath, opts MinCutOptions) (*Result, error) {
-	return auditDegraded(mincut.BindContext(ctx, g, dp, opts))
+	res, err := mincut.BindContext(ctx, g, dp, opts)
+	return auditDegraded(nil, res, err)
 }
 
 // OptimalContext is Optimal under a context: a cancelled search holding
 // an incumbent returns it Degraded (valid, just not proven optimal).
 func OptimalContext(ctx context.Context, g *Graph, dp *Datapath, maxOps int) (*Result, error) {
-	return auditDegraded(optbind.OptimalContext(ctx, g, dp, maxOps))
+	res, err := optbind.OptimalContext(ctx, g, dp, maxOps)
+	return auditDegraded(nil, res, err)
 }
 
 // LatencyLowerBound returns a latency no binding of g on dp can beat.
