@@ -146,11 +146,18 @@ bench-compare:
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 3x .
 
-# Statistical comparison of the two evaluation paths. Needs the benchstat
-# tool on PATH (golang.org/x/perf/cmd/benchstat); falls back to printing
-# the raw -benchmem numbers when it is absent.
+# Micro-benchmarks for a before/after comparison, each -benchmem -count
+# 6: the two evaluation paths (./internal/problem), one audit of a
+# serve-mix working-set result (BenchmarkAudit, ./internal/audit) and
+# one served store hit through the daemon's handler (BenchmarkServeHit,
+# ./internal/server). Run it on both sides of a change and compare the
+# two outputs. Needs the benchstat tool on PATH
+# (golang.org/x/perf/cmd/benchstat); falls back to printing the raw
+# -benchmem numbers when it is absent.
 benchstat:
 	$(GO) test ./internal/problem -run '^$$' -bench 'BenchmarkEvaluate' -benchmem -count 6 > /tmp/vliwbind-bench.txt
+	$(GO) test ./internal/audit -run '^$$' -bench '^BenchmarkAudit$$' -benchmem -count 6 >> /tmp/vliwbind-bench.txt
+	$(GO) test ./internal/server -run '^$$' -bench '^BenchmarkServeHit$$' -benchmem -count 6 >> /tmp/vliwbind-bench.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat /tmp/vliwbind-bench.txt; \
 	else \

@@ -103,7 +103,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigc <-chan os.Signal, ha
 			return 1
 		}
 	}
-	logger.Printf("listening on %s (workers=%d store=%s)", ln.Addr(), *workers, storeDesc(*storeDir))
+	logger.Printf("listening on %s (workers=%d store=%s)", ln.Addr(), srv.Workers(), storeDesc(*storeDir))
 
 	httpSrv := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)

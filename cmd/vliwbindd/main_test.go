@@ -8,10 +8,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -103,6 +105,13 @@ func TestDaemonServesAndDrainsOnSigterm(t *testing.T) {
 	}
 	if !bytes.Contains(logs.Bytes(), []byte("draining")) {
 		t.Errorf("logs do not mention the drain:\n%s", logs)
+	}
+	// The startup line names the resolved pool size, not the flag's 0.
+	if want := fmt.Sprintf("(workers=%d ", runtime.GOMAXPROCS(0)); !bytes.Contains(logs.Bytes(), []byte(want)) {
+		t.Errorf("startup log lacks %q:\n%s", want, logs)
+	}
+	if !bytes.Contains(logs.Bytes(), []byte("store journal compacted to 1 live entrie(s)")) {
+		t.Errorf("drain of a journal-backed store logged no compaction:\n%s", logs)
 	}
 }
 

@@ -18,20 +18,20 @@ package audit
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"vliwbind/internal/bind"
 	"vliwbind/internal/codegen"
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/modulo"
-	"vliwbind/internal/problem"
 	"vliwbind/internal/sched"
 	"vliwbind/internal/vliwsim"
 )
 
 // Audit cross-checks a complete binding result end to end. It returns nil
 // only when every layer agrees: the binding is valid for the datapath, the
-// bound graph and bound binding are exactly what problem.BuildBound derives
-// from (Graph, Binding), the schedule is legal per AuditSchedule, and the
+// bound graph and bound binding are exactly the canonical transfer
+// insertion of (Graph, Binding) (checkBound), the schedule is legal per AuditSchedule, and the
 // schedule register-allocates without clobbers per AuditAlloc.
 func Audit(res *bind.Result) error {
 	if res == nil {
@@ -61,23 +61,9 @@ func Audit(res *bind.Result) error {
 	}
 
 	// The bound graph must be the canonical derivation, not merely some
-	// graph that happens to schedule: recompute and compare node for node.
-	wantBound, wantBB, err := problem.BuildBound(g, res.Binding)
-	if err != nil {
-		return fmt.Errorf("audit: rederiving bound graph: %w", err)
-	}
-	if err := sameGraph(res.Bound, wantBound); err != nil {
-		return fmt.Errorf("audit: bound graph differs from canonical transfer insertion: %w", err)
-	}
-	if len(res.BoundBinding) != len(wantBB) {
-		return fmt.Errorf("audit: bound binding has %d entries, canonical derivation has %d",
-			len(res.BoundBinding), len(wantBB))
-	}
-	for i := range wantBB {
-		if res.BoundBinding[i] != wantBB[i] {
-			return fmt.Errorf("audit: bound binding differs at node %s: cluster %d, canonical derivation says %d",
-				res.Bound.Node(i).Name(), res.BoundBinding[i], wantBB[i])
-		}
+	// graph that happens to schedule: derive it node for node and compare.
+	if err := checkBound(res, dp.NumClusters()); err != nil {
+		return err
 	}
 	if err := dfg.Validate(res.Bound); err != nil {
 		return fmt.Errorf("audit: bound graph invalid: %w", err)
@@ -170,7 +156,7 @@ func probeInputs(n int) [][]float64 {
 // its outputs against dfg.EvalOutputs by bit pattern (so NaN compares
 // equal to the same NaN and -0 differs from +0).
 func simAgainstReference(s *sched.Schedule, inputs []float64) error {
-	got, _, err := vliwsim.Execute(s, inputs)
+	got, err := vliwsim.Outputs(s, inputs)
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
@@ -201,13 +187,18 @@ func AuditAlloc(s *sched.Schedule, a *codegen.Alloc) error {
 		return fmt.Errorf("audit: allocation covers %d clusters, datapath has %d",
 			len(a.NumRegs), s.Datapath.NumClusters())
 	}
-	for k, r := range a.Reg {
-		if k.Cluster < 0 || k.Cluster >= len(a.NumRegs) {
-			return fmt.Errorf("audit: register entry for nonexistent cluster %d", k.Cluster)
+	if len(a.Reg) != s.Graph.NumNodes() {
+		return fmt.Errorf("audit: allocation has %d register entries for %d nodes", len(a.Reg), s.Graph.NumNodes())
+	}
+	for id, r := range a.Reg {
+		c := s.Cluster[id]
+		if c < 0 || c >= len(a.NumRegs) {
+			return fmt.Errorf("audit: register entry for nonexistent cluster %d", c)
 		}
-		if r < 0 || r >= a.NumRegs[k.Cluster] {
+		// -1 is "no register": a store's memory slot.
+		if r < -1 || r >= a.NumRegs[c] {
 			return fmt.Errorf("audit: node %d assigned register c%d.r%d beyond file size %d",
-				k.Node, k.Cluster, r, a.NumRegs[k.Cluster])
+				id, c, r, a.NumRegs[c])
 		}
 	}
 	if err := codegen.CheckAlloc(s, a); err != nil {
@@ -254,65 +245,180 @@ func AuditPipelined(ps *modulo.PipelinedSchedule, iterations int) error {
 	return nil
 }
 
-// sameGraph compares two graphs structurally — name, inputs, node
-// sequence (name, op, immediate, operand identity), move metadata and
-// output lists — and describes the first difference.
-func sameGraph(got, want *dfg.Graph) error {
-	if got.Name() != want.Name() {
-		return fmt.Errorf("graph name %q vs %q", got.Name(), want.Name())
+// checkBound certifies that res.Bound and res.BoundBinding are exactly
+// the canonical transfer insertion of (res.Graph, res.Binding), Figure 1
+// of the paper. Walking the original graph in topological order, each
+// node is preceded by one move per cross-cluster producer whose value
+// has not yet been transferred into the node's cluster (in operand
+// order), and every later consumer in that cluster reuses the move. The
+// k-th move is named t<k>, primed until no original node has the name;
+// t<k> with primes never spells t<j> with primes for j ≠ k, so another
+// move's name cannot collide.
+//
+// The expectation is derived here, bound node ID by ID, and compared
+// with the result directly: this shares no code with problem.BuildBound,
+// which built the result, so a fault there cannot hide behind itself.
+// The binding is already checked to name existing clusters.
+func checkBound(res *bind.Result, nc int) error {
+	g, bg, bn := res.Graph, res.Bound, res.Binding
+	if g.NumMoves() != 0 {
+		return fmt.Errorf("audit: original graph %q already has moves", g.Name())
 	}
-	if got.NumInputs() != want.NumInputs() {
-		return fmt.Errorf("%d inputs vs %d", got.NumInputs(), want.NumInputs())
+	differs := func(format string, args ...any) error {
+		return fmt.Errorf("audit: bound graph differs from canonical transfer insertion: "+format, args...)
 	}
-	for i := 0; i < want.NumInputs(); i++ {
-		if got.InputName(i) != want.InputName(i) {
-			return fmt.Errorf("input %d named %q vs %q", i, got.InputName(i), want.InputName(i))
+	if bg.Name() != g.Name() {
+		return differs("graph name %q vs %q", bg.Name(), g.Name())
+	}
+	if bg.NumInputs() != g.NumInputs() {
+		return differs("%d inputs vs %d", bg.NumInputs(), g.NumInputs())
+	}
+	for i := 0; i < g.NumInputs(); i++ {
+		if bg.InputName(i) != g.InputName(i) {
+			return differs("input %d named %q vs %q", i, bg.InputName(i), g.InputName(i))
 		}
 	}
-	if got.NumNodes() != want.NumNodes() {
-		return fmt.Errorf("%d nodes vs %d", got.NumNodes(), want.NumNodes())
+
+	// at[id] is the bound ID of original node id; moved[u·nc+c] that of
+	// u's move into cluster c, −1 until made (−2 while counting).
+	nn := g.NumNodes()
+	scratch := make([]int, nn*(nc+1))
+	at, moved := scratch[:nn], scratch[nn:]
+	for i := range moved {
+		moved[i] = -1
 	}
-	operandName := func(g *dfg.Graph, v dfg.Value) string {
-		if v.IsInput() {
-			return "in:" + g.InputName(v.Input())
-		}
-		return v.Node().Name()
-	}
-	for i := 0; i < want.NumNodes(); i++ {
-		gn, wn := got.Node(i), want.Node(i)
-		if gn.Name() != wn.Name() || gn.Op() != wn.Op() || gn.Imm() != wn.Imm() {
-			return fmt.Errorf("node %d is %s/%s(imm %v) vs %s/%s(imm %v)",
-				i, gn.Name(), gn.Op(), gn.Imm(), wn.Name(), wn.Op(), wn.Imm())
-		}
-		if len(gn.Operands()) != len(wn.Operands()) {
-			return fmt.Errorf("node %s has %d operands vs %d", wn.Name(), len(gn.Operands()), len(wn.Operands()))
-		}
-		for j := range wn.Operands() {
-			go_, wo := operandName(got, gn.Operands()[j]), operandName(want, wn.Operands()[j])
-			if go_ != wo {
-				return fmt.Errorf("node %s operand %d is %s vs %s", wn.Name(), j, go_, wo)
+	want := nn
+	for _, n := range g.Nodes() {
+		for _, o := range n.Operands() {
+			if k := moveKey(o, bn[n.ID()], bn, nc); k >= 0 && moved[k] == -1 {
+				moved[k] = -2
+				want++
 			}
 		}
-		if gn.IsMove() != wn.IsMove() {
-			return fmt.Errorf("node %s move-ness differs", wn.Name())
+	}
+	if bg.NumNodes() != want {
+		return differs("%d nodes vs %d", bg.NumNodes(), want)
+	}
+
+	operandName := func(gr *dfg.Graph, v dfg.Value) string {
+		switch {
+		case v.IsInput() && v.Input() < gr.NumInputs():
+			return "in:" + gr.InputName(v.Input())
+		case v.IsInput():
+			return fmt.Sprintf("in:#%d", v.Input())
+		case v.IsNode():
+			return v.Node().Name()
 		}
-		if wn.IsMove() {
-			gs, ws := gn.TransferFor(), wn.TransferFor()
-			if gs == nil || ws == nil {
-				return fmt.Errorf("move %s lacks producer metadata", wn.Name())
+		return "<zero>"
+	}
+	// expect compares bound node id with the expected name, op and
+	// immediate, and records the first cluster disagreement, which is
+	// reported only once the whole structure matches.
+	bbBad, bbWant := -1, 0
+	expect := func(id int, name string, op dfg.OpType, imm float64, c int) (*dfg.Node, error) {
+		gn := bg.Node(id)
+		if gn == nil {
+			return nil, differs("node %d is missing", id)
+		}
+		if gn.Name() != name || gn.Op() != op || gn.Imm() != imm {
+			return nil, differs("node %d is %s/%s(imm %v) vs %s/%s(imm %v)",
+				id, gn.Name(), gn.Op(), gn.Imm(), name, op, imm)
+		}
+		if bbBad < 0 && id < len(res.BoundBinding) && res.BoundBinding[id] != c {
+			bbBad, bbWant = id, c
+		}
+		return gn, nil
+	}
+	next, nMoves := 0, 0
+	var tName []byte
+	for _, n := range dfg.TopoOrder(g) {
+		c := bn[n.ID()]
+		for _, o := range n.Operands() {
+			k := moveKey(o, c, bn, nc)
+			if k < 0 || moved[k] >= 0 {
+				continue
 			}
-			if gs.Name() != ws.Name() {
-				return fmt.Errorf("move %s transfers %s vs %s", wn.Name(), gs.Name(), ws.Name())
+			nMoves++
+			tName = strconv.AppendInt(append(tName[:0], 't'), int64(nMoves), 10)
+			for g.NodeByName(string(tName)) != nil {
+				tName = append(tName, '\'')
 			}
+			mv, err := expect(next, string(tName), dfg.OpMove, 0, c)
+			if err != nil {
+				return err
+			}
+			src := bg.Node(at[o.Node().ID()])
+			if ops := mv.Operands(); len(ops) != 1 {
+				return differs("node %s has %d operands vs 1", mv.Name(), len(ops))
+			} else if ops[0].Node() != src {
+				return differs("node %s operand 0 is %s vs %s", mv.Name(), operandName(bg, ops[0]), src.Name())
+			}
+			if mv.TransferFor() == nil {
+				return differs("move %s lacks producer metadata", mv.Name())
+			}
+			if mv.TransferFor() != src {
+				return differs("move %s transfers %s vs %s", mv.Name(), mv.TransferFor().Name(), src.Name())
+			}
+			moved[k] = next
+			next++
+		}
+		imm := 0.0
+		if n.Op().HasImm() {
+			imm = n.Imm()
+		}
+		gn, err := expect(next, n.Name(), n.Op(), imm, c)
+		if err != nil {
+			return err
+		}
+		if len(gn.Operands()) != len(n.Operands()) {
+			return differs("node %s has %d operands vs %d", n.Name(), len(gn.Operands()), len(n.Operands()))
+		}
+		for j, o := range n.Operands() {
+			got := gn.Operands()[j]
+			var wantNode *dfg.Node // the move, or the producer's bound copy
+			if k := moveKey(o, c, bn, nc); k >= 0 {
+				wantNode = bg.Node(moved[k])
+			} else if o.IsNode() {
+				wantNode = bg.Node(at[o.Node().ID()])
+			}
+			if wantNode == nil && !(got.IsInput() && got.Input() == o.Input()) ||
+				wantNode != nil && got.Node() != wantNode {
+				wantName := operandName(g, o)
+				if wantNode != nil {
+					wantName = wantNode.Name()
+				}
+				return differs("node %s operand %d is %s vs %s", n.Name(), j, operandName(bg, got), wantName)
+			}
+		}
+		at[n.ID()] = next
+		next++
+	}
+	if len(bg.Outputs()) != len(g.Outputs()) {
+		return differs("%d outputs vs %d", len(bg.Outputs()), len(g.Outputs()))
+	}
+	for i, o := range g.Outputs() {
+		if got := bg.Outputs()[i]; got != bg.Node(at[o.ID()]) {
+			return differs("output %d is %s vs %s", i, got.Name(), o.Name())
 		}
 	}
-	if len(got.Outputs()) != len(want.Outputs()) {
-		return fmt.Errorf("%d outputs vs %d", len(got.Outputs()), len(want.Outputs()))
+
+	if len(res.BoundBinding) != want {
+		return fmt.Errorf("audit: bound binding has %d entries, canonical derivation has %d",
+			len(res.BoundBinding), want)
 	}
-	for i, wn := range want.Outputs() {
-		if got.Outputs()[i].Name() != wn.Name() {
-			return fmt.Errorf("output %d is %s vs %s", i, got.Outputs()[i].Name(), wn.Name())
-		}
+	if bbBad >= 0 {
+		return fmt.Errorf("audit: bound binding differs at node %s: cluster %d, canonical derivation says %d",
+			bg.Node(bbBad).Name(), res.BoundBinding[bbBad], bbWant)
 	}
 	return nil
+}
+
+// moveKey is the (producer, cluster) slot of the move operand o needs in
+// a consumer bound to cluster c, or −1 when o needs none: an input, or a
+// value produced in c.
+func moveKey(o dfg.Value, c int, bn []int, nc int) int {
+	if !o.IsNode() || bn[o.Node().ID()] == c {
+		return -1
+	}
+	return o.Node().ID()*nc + c
 }

@@ -213,20 +213,20 @@ func TestAuditAllocRejectsClobber(t *testing.T) {
 		t.Fatalf("audit rejects a clean allocation: %v", err)
 	}
 
-	aKey := codegen.RegKey{Node: res.Bound.NodeByName("a").ID(), Cluster: 0}
-	bKey := codegen.RegKey{Node: res.Bound.NodeByName("b").ID(), Cluster: 0}
-	if a.Reg[aKey] == a.Reg[bKey] {
+	aID := res.Bound.NodeByName("a").ID()
+	bID := res.Bound.NodeByName("b").ID()
+	if a.Reg[aID] == a.Reg[bID] {
 		t.Fatal("overlapping lives unexpectedly share a register already")
 	}
 	clobbered, _ := codegen.Allocate(res.Schedule, 0)
-	clobbered.Reg[bKey] = clobbered.Reg[aKey]
+	clobbered.Reg[bID] = clobbered.Reg[aID]
 	if err := audit.AuditAlloc(res.Schedule, clobbered); err == nil {
 		t.Error("audit missed a register clobber")
 	}
 
 	// Register index beyond the cluster's file.
 	oob, _ := codegen.Allocate(res.Schedule, 0)
-	oob.Reg[bKey] = oob.NumRegs[0] + 3
+	oob.Reg[bID] = oob.NumRegs[0] + 3
 	if err := audit.AuditAlloc(res.Schedule, oob); err == nil {
 		t.Error("audit missed an out-of-file register index")
 	}

@@ -417,8 +417,12 @@ func (en *engine) discardScratch(worker int) {
 // the pool's guard, so an injected panic at that seam is an ordinary
 // task fault). With an observer attached, each attempt additionally
 // runs under pprof labels naming the engine phase and kernel, and the
-// whole batch is summarized as one pool.batch event carrying the
-// aggregate queue (submit → start) and execute times.
+// whole batch is summarized as one pool.batch event carrying its
+// aggregate dispatch delay and execute time. The dispatch delay is the
+// time from batch start to each worker's first task: a task waiting
+// behind earlier tasks of its own batch is the batch executing, not
+// queueing, so the total stays within workers × the batch's wall time
+// and an in-order batch reads about zero.
 func (en *engine) runBatch(ctx context.Context, n int, task func(worker, i int) error) []error {
 	attempt := task
 	var queueNs, execNs atomic.Int64
@@ -426,10 +430,16 @@ func (en *engine) runBatch(ctx context.Context, n int, task func(worker, i int) 
 	if en.obs != nil {
 		batchStart = time.Now()
 		labels := pprof.Labels("bind_phase", en.phase, "bind_kernel", en.kernel)
+		// started[w] is touched only by worker w's goroutine, and by
+		// retries after the pool has drained.
+		started := make([]bool, max(en.pool.workers, 1))
 		attempt = func(worker, i int) error {
 			en.fire(HookPoolTask)
 			start := time.Now()
-			queueNs.Add(start.Sub(batchStart).Nanoseconds())
+			if !started[worker] {
+				started[worker] = true
+				queueNs.Add(start.Sub(batchStart).Nanoseconds())
+			}
 			var err error
 			pprof.Do(ctx, labels, func(context.Context) { err = task(worker, i) })
 			execNs.Add(time.Since(start).Nanoseconds())

@@ -10,8 +10,10 @@ package bind_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vliwbind/internal/bind"
 	"vliwbind/internal/kernels"
@@ -159,5 +161,47 @@ func TestNoBindingEvaluatedTwicePerRound(t *testing.T) {
 		if hits == 0 {
 			t.Errorf("par %d: no evaluation was answered from the previous batch", par)
 		}
+	}
+}
+
+// TestPoolQueueIsDispatchDelay: the pool.queue phase sums each worker's
+// wait from batch start to its first task, not every task's wait behind
+// earlier tasks of its own batch. The total therefore stays within
+// workers × the bind's wall time, and the in-order loop of Parallelism
+// 1 reads about zero.
+func TestPoolQueueIsDispatchDelay(t *testing.T) {
+	k, err := kernels.ByName("EWF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := machine.MustParse("[2,1|2,1]", machine.Config{NumBuses: 2, MoveLat: 1})
+	for _, par := range []int{1, 2} {
+		m := obs.NewMetrics()
+		t0 := time.Now()
+		if _, err := bind.Bind(k.Build(), dp, bind.Options{Parallelism: par, Observer: m}); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(t0)
+		var queue, exec time.Duration
+		batches := int64(0)
+		for name, ps := range m.Snapshot().Phases {
+			switch {
+			case strings.HasPrefix(name, "pool.queue["):
+				queue += time.Duration(ps.TotalNs)
+				batches += ps.Count
+			case strings.HasPrefix(name, "pool.exec["):
+				exec += time.Duration(ps.TotalNs)
+			}
+		}
+		if batches == 0 || exec == 0 {
+			t.Fatalf("par %d: no pool batches observed", par)
+		}
+		if queue > time.Duration(par)*wall {
+			t.Errorf("par %d: pool queue %v exceeds %d worker(s) × wall %v", par, queue, par, wall)
+		}
+		if par == 1 && queue > wall/10 {
+			t.Errorf("par 1: in-order loop reports %v of queueing in a %v bind", queue, wall)
+		}
+		t.Logf("par %d: %d batches, queue %v, exec %v, wall %v", par, batches, queue, exec, wall)
 	}
 }

@@ -10,81 +10,113 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/sched"
 )
 
-// RegKey identifies one resident value copy: node ID plus the cluster
-// whose register file holds it (a value moved across clusters occupies a
-// register in each).
-type RegKey struct {
-	Node    int
-	Cluster int
-}
-
 // Alloc is a register assignment for a schedule.
 type Alloc struct {
-	// Reg maps each resident value copy to a register index within its
-	// cluster's register file.
-	Reg map[RegKey]int
+	// Reg[id] is the register, within the file of its own cluster
+	// (Schedule.Cluster[id]), that holds bound node id's value. A value
+	// moved across clusters occupies a register in each: the producer's
+	// in its cluster, the move's in the destination. A store's result
+	// is a memory slot, not a register, so its entry is -1.
+	Reg []int
 	// NumRegs[c] is the number of physical registers allocation used in
 	// cluster c.
 	NumRegs []int
 }
 
-// interval is one live range inside a single cluster's register file.
+// interval is one value's live range inside its own cluster's register
+// file: written at start, last read at end (inclusive cycles).
 type interval struct {
-	key        RegKey
-	start, end int // inclusive cycles: value written at start, last read at end
+	start, end int
 }
 
-// intervals computes per-cluster live ranges. A copy lives from the cycle
-// its value becomes available (producer finish or move arrival) to its
-// last in-cluster use; live-out values extend to the end of the schedule.
-func intervals(s *sched.Schedule) map[int][]interval {
+// noRead marks an interval whose value no in-cluster read has extended.
+const noRead = math.MinInt
+
+// intervals computes every node's live range, indexed by node ID. A
+// copy lives from the cycle its value becomes available (producer finish
+// or move arrival) to its last in-cluster use; live-out values extend to
+// the end of the schedule, and a value nobody reads occupies its write
+// cycle only. A store's entry is meaningless: it holds no register.
+func intervals(s *sched.Schedule) []interval {
 	g := s.Graph
-	write := make(map[RegKey]int)
-	lastUse := make(map[RegKey]int)
-	use := func(k RegKey, cycle int) {
-		if cur, ok := lastUse[k]; !ok || cycle > cur {
-			lastUse[k] = cycle
+	ivs := make([]interval, g.NumNodes())
+	for _, n := range g.Nodes() {
+		ivs[n.ID()] = interval{s.Finish(n), noRead}
+	}
+	// A read in another cluster than the value's own has no copy to
+	// extend: the schedule is missing a move, and CheckAlloc says so.
+	use := func(id, cluster, cycle int) {
+		if cluster == s.Cluster[id] && cycle > ivs[id].end {
+			ivs[id].end = cycle
 		}
 	}
 	for _, n := range g.Nodes() {
 		c := s.Cluster[n.ID()]
-		if n.Op() != dfg.OpStore {
-			// A store's result is a memory slot, not a register.
-			write[RegKey{n.ID(), c}] = s.Finish(n)
-		}
 		if n.IsMove() {
 			if src := n.TransferFor(); src != nil {
-				use(RegKey{src.ID(), s.Cluster[src.ID()]}, s.Start[n.ID()])
+				use(src.ID(), s.Cluster[src.ID()], s.Start[n.ID()])
 			}
 		} else {
 			for _, o := range n.Operands() {
 				// A load's operand is the memory slot, not a register.
 				if o.IsNode() && o.Node().Op() != dfg.OpStore {
-					use(RegKey{o.Node().ID(), c}, s.Start[n.ID()])
+					use(o.Node().ID(), c, s.Start[n.ID()])
 				}
 			}
 		}
-		if n.IsOutput() && n.Op() != dfg.OpStore {
-			use(RegKey{n.ID(), c}, s.L)
+		if n.IsOutput() {
+			use(n.ID(), c, s.L)
 		}
 	}
-	out := make(map[int][]interval)
-	for k, w := range write {
-		end, ok := lastUse[k]
-		if !ok {
-			end = w // dead value: occupies its write cycle only
+	for i := range ivs {
+		if ivs[i].end == noRead {
+			ivs[i].end = ivs[i].start
 		}
-		out[k.Cluster] = append(out[k.Cluster], interval{k, w, end})
 	}
-	return out
+	return ivs
+}
+
+// checkPlacement rejects a node on a nonexistent cluster or issuing or
+// finishing outside [0, L], the cycle range the allocator buckets by.
+// sched.Check rejects all of these too.
+func checkPlacement(s *sched.Schedule) error {
+	nc := s.Datapath.NumClusters()
+	for _, n := range s.Graph.Nodes() {
+		if c := s.Cluster[n.ID()]; c < 0 || c >= nc {
+			return fmt.Errorf("codegen: node %s on nonexistent cluster %d", n.Name(), c)
+		}
+		if st, f := s.Start[n.ID()], s.Finish(n); st < 0 || f < st || f > s.L {
+			return fmt.Errorf("codegen: node %s occupies cycles [%d, %d], outside the schedule's [0, L=%d]",
+				n.Name(), st, f, s.L)
+		}
+	}
+	return nil
+}
+
+// countingSort stably orders ids by key(id) ∈ [0, nkeys) into dst.
+func countingSort(dst, ids []int32, nkeys int, key func(int32) int) {
+	at := make([]int, nkeys+1)
+	for _, id := range ids {
+		at[key(id)+1]++
+	}
+	for k := 1; k <= nkeys; k++ {
+		at[k] += at[k-1]
+	}
+	for _, id := range ids {
+		k := key(id)
+		dst[at[k]] = id
+		at[k]++
+	}
 }
 
 // Allocate assigns registers by linear scan, cluster by cluster. maxRegs
@@ -93,49 +125,53 @@ func intervals(s *sched.Schedule) map[int][]interval {
 // — the paper's "costly spills should be rare" assumption turned into a
 // hard check.
 func Allocate(s *sched.Schedule, maxRegs int) (*Alloc, error) {
-	byCluster := intervals(s)
+	if err := checkPlacement(s); err != nil {
+		return nil, err
+	}
+	g := s.Graph
+	ivs := intervals(s)
 	a := &Alloc{
-		Reg:     make(map[RegKey]int),
+		Reg:     make([]int, g.NumNodes()),
 		NumRegs: make([]int, s.Datapath.NumClusters()),
 	}
-	for c, ivs := range byCluster {
-		sort.SliceStable(ivs, func(i, j int) bool {
-			if ivs[i].start != ivs[j].start {
-				return ivs[i].start < ivs[j].start
-			}
-			return ivs[i].key.Node < ivs[j].key.Node
-		})
-		type active struct {
-			end, reg int
+	// Scan order: by cluster, then by write cycle, then by node ID — two
+	// stable counting passes over the register-holding nodes.
+	ids := make([]int32, 0, g.NumNodes())
+	for _, n := range g.Nodes() {
+		a.Reg[n.ID()] = -1
+		if n.Op() != dfg.OpStore { // a store's result is a memory slot
+			ids = append(ids, int32(n.ID()))
 		}
-		var live []active
-		var free []int
+	}
+	byStart := make([]int32, len(ids))
+	countingSort(byStart, ids, s.L+1, func(id int32) int { return ivs[id].start })
+	countingSort(ids, byStart, len(a.NumRegs), func(id int32) int { return s.Cluster[id] })
+
+	// regEnd[r] is the last read of the interval register r holds now
+	// (byStart's storage, free after the second pass). A register is
+	// free for an interval written at t once that read is strictly
+	// before t (a register read at cycle t may be rewritten only at
+	// t+1); the lowest free register is taken.
+	regEnd := byStart[:0]
+	for i := 0; i < len(ids); {
+		c := s.Cluster[ids[i]]
 		next := 0
-		for _, iv := range ivs {
-			// Expire intervals that ended strictly before this write:
-			// a register read at cycle t may be rewritten only at t+1.
-			keep := live[:0]
-			for _, ac := range live {
-				if ac.end < iv.start {
-					free = append(free, ac.reg)
-				} else {
-					keep = append(keep, ac)
-				}
+		regEnd = regEnd[:0]
+		for ; i < len(ids) && s.Cluster[ids[i]] == c; i++ {
+			iv := ivs[ids[i]]
+			r := 0
+			for r < next && int(regEnd[r]) >= iv.start {
+				r++
 			}
-			live = keep
-			var r int
-			if len(free) > 0 {
-				sort.Ints(free)
-				r, free = free[0], free[1:]
-			} else {
-				r = next
+			if r == next {
 				next++
 				if maxRegs > 0 && next > maxRegs {
 					return nil, fmt.Errorf("codegen: cluster %d needs %d registers, file holds %d (spilling not modeled; see paper Section 2)", c, next, maxRegs)
 				}
+				regEnd = append(regEnd, 0)
 			}
-			a.Reg[iv.key] = r
-			live = append(live, active{iv.end, r})
+			regEnd[r] = int32(iv.end)
+			a.Reg[ids[i]] = r
 		}
 		a.NumRegs[c] = next
 	}
@@ -147,64 +183,75 @@ func Allocate(s *sched.Schedule, maxRegs int) (*Alloc, error) {
 // wrote — i.e., no register was reused while still live.
 func CheckAlloc(s *sched.Schedule, a *Alloc) error {
 	g := s.Graph
-	// file[c][r] = node ID currently held, -1 if empty.
-	file := make([][]int, s.Datapath.NumClusters())
-	for c := range file {
-		file[c] = make([]int, a.NumRegs[c])
-		for r := range file[c] {
-			file[c][r] = -1
+	nc := s.Datapath.NumClusters()
+	if len(a.Reg) != g.NumNodes() || len(a.NumRegs) != nc {
+		return fmt.Errorf("codegen: allocation sized for %d nodes and %d clusters, schedule has %d and %d",
+			len(a.Reg), len(a.NumRegs), g.NumNodes(), nc)
+	}
+	if err := checkPlacement(s); err != nil {
+		return err
+	}
+	// file[base[c]+r] = node ID held in register r of cluster c, -1 if
+	// empty.
+	base := make([]int, nc+1)
+	for c, n := range a.NumRegs {
+		base[c+1] = base[c] + max(n, 0)
+	}
+	file := make([]int, base[nc])
+	for i := range file {
+		file[i] = -1
+	}
+	// Events 2·id (the write of node id's result) and 2·id+1 (its
+	// operand reads) in cycle order; within a cycle, writes (values
+	// becoming available at its start) precede reads, each in ID order.
+	evs := make([]int32, 2*g.NumNodes())
+	for i := range evs {
+		evs[i] = int32(i)
+	}
+	order := make([]int32, len(evs))
+	countingSort(order, evs, 2*(s.L+1), func(ev int32) int {
+		n := g.Node(int(ev >> 1))
+		if ev&1 == 0 {
+			return 2 * s.Finish(n)
 		}
-	}
-	type ev struct {
-		cycle int
-		write bool
-		node  *dfg.Node
-	}
-	var evs []ev
-	for _, n := range g.Nodes() {
-		evs = append(evs, ev{s.Start[n.ID()], false, n}, ev{s.Finish(n), true, n})
-	}
-	// Within a cycle, writes (values becoming available at its start)
-	// precede reads.
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].cycle != evs[j].cycle {
-			return evs[i].cycle < evs[j].cycle
-		}
-		return evs[i].write && !evs[j].write
+		return 2*s.Start[n.ID()] + 1
 	})
+	reg := func(id, cluster int) (int, bool) {
+		r := a.Reg[id]
+		return r, cluster == s.Cluster[id] && r >= 0 && r < a.NumRegs[cluster]
+	}
 	readCopy := func(id, cluster, cycle int, reader *dfg.Node) error {
-		k := RegKey{id, cluster}
-		r, ok := a.Reg[k]
+		r, ok := reg(id, cluster)
 		if !ok {
 			return fmt.Errorf("codegen: %s reads node %d in cluster %d but no register was allocated", reader.Name(), id, cluster)
 		}
-		if file[cluster][r] != id {
+		if held := file[base[cluster]+r]; held != id {
 			return fmt.Errorf("codegen: at cycle %d, %s reads c%d.r%d expecting node %d but it holds %d",
-				cycle, reader.Name(), cluster, r, id, file[cluster][r])
+				cycle, reader.Name(), cluster, r, id, held)
 		}
 		return nil
 	}
-	for _, e := range evs {
-		n := e.node
+	for _, ev := range order {
+		n := g.Node(int(ev >> 1))
 		c := s.Cluster[n.ID()]
-		if e.write {
+		if ev&1 == 0 {
 			if n.Op() == dfg.OpStore {
 				continue // memory write, no register touched
 			}
-			k := RegKey{n.ID(), c}
-			r, ok := a.Reg[k]
+			r, ok := reg(n.ID(), c)
 			if !ok {
 				return fmt.Errorf("codegen: no register for result of %s", n.Name())
 			}
-			file[c][r] = n.ID()
+			file[base[c]+r] = n.ID()
 			continue
 		}
+		cycle := s.Start[n.ID()]
 		if n.IsMove() {
 			src := n.TransferFor()
 			if src == nil {
 				return fmt.Errorf("codegen: move %s lacks producer metadata", n.Name())
 			}
-			if err := readCopy(src.ID(), s.Cluster[src.ID()], e.cycle, n); err != nil {
+			if err := readCopy(src.ID(), s.Cluster[src.ID()], cycle, n); err != nil {
 				return err
 			}
 			continue
@@ -213,7 +260,7 @@ func CheckAlloc(s *sched.Schedule, a *Alloc) error {
 			if !o.IsNode() || o.Node().Op() == dfg.OpStore {
 				continue // memory-slot operand (reload)
 			}
-			if err := readCopy(o.Node().ID(), c, e.cycle, n); err != nil {
+			if err := readCopy(o.Node().ID(), c, cycle, n); err != nil {
 				return err
 			}
 		}
@@ -239,7 +286,11 @@ var mnemonic = map[dfg.OpType]string{
 func Emit(s *sched.Schedule, a *Alloc) string {
 	g := s.Graph
 	regOf := func(id, cluster int) string {
-		return fmt.Sprintf("c%d.r%d", cluster, a.Reg[RegKey{id, cluster}])
+		r := 0 // a copy with no register prints as r0
+		if cluster == s.Cluster[id] && a.Reg[id] >= 0 {
+			r = a.Reg[id]
+		}
+		return fmt.Sprintf("c%d.r%d", cluster, r)
 	}
 	operand := func(n *dfg.Node, o dfg.Value) string {
 		if o.IsInput() {
@@ -247,20 +298,19 @@ func Emit(s *sched.Schedule, a *Alloc) string {
 		}
 		return regOf(o.Node().ID(), s.Cluster[n.ID()])
 	}
-	byCycle := make(map[int][]*dfg.Node)
+	// Issues per cycle, by cluster and then node ID.
+	byCycle := make([][]*dfg.Node, max(s.L, 0))
 	for _, n := range g.Nodes() {
-		byCycle[s.Start[n.ID()]] = append(byCycle[s.Start[n.ID()]], n)
+		if st := s.Start[n.ID()]; st >= 0 && st < s.L {
+			byCycle[st] = append(byCycle[st], n)
+		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "; %s on %s  L=%d  regs/cluster=%v\n", g.Name(), s.Datapath, s.L, a.NumRegs)
 	for cycle := 0; cycle < s.L; cycle++ {
 		issues := byCycle[cycle]
-		sort.SliceStable(issues, func(i, j int) bool {
-			ci, cj := s.Cluster[issues[i].ID()], s.Cluster[issues[j].ID()]
-			if ci != cj {
-				return ci < cj
-			}
-			return issues[i].ID() < issues[j].ID()
+		slices.SortStableFunc(issues, func(x, y *dfg.Node) int {
+			return cmp.Compare(s.Cluster[x.ID()], s.Cluster[y.ID()])
 		})
 		fmt.Fprintf(&b, "%3d:", cycle)
 		if len(issues) == 0 {

@@ -83,40 +83,45 @@ func TestCheckAllocCatchesClobber(t *testing.T) {
 	// consumer read at or after the overwriter's write cycle (the live-out
 	// extension in intervals() is not a read CheckAlloc replays), and the
 	// writes must land in distinct cycles so their order is defined.
-	lastRead := make(map[RegKey]int)
-	read := func(k RegKey, cycle int) {
-		if cur, ok := lastRead[k]; !ok || cycle > cur {
-			lastRead[k] = cycle
+	lastRead := make([]int, s.Graph.NumNodes())
+	for i := range lastRead {
+		lastRead[i] = -1
+	}
+	// Only a read in the value's own cluster reads its register.
+	read := func(id, cluster, cycle int) {
+		if cluster == s.Cluster[id] && cycle > lastRead[id] {
+			lastRead[id] = cycle
 		}
 	}
 	for _, n := range s.Graph.Nodes() {
 		if n.IsMove() {
 			if src := n.TransferFor(); src != nil {
-				read(RegKey{src.ID(), s.Cluster[src.ID()]}, s.Start[n.ID()])
+				read(src.ID(), s.Cluster[src.ID()], s.Start[n.ID()])
 			}
 			continue
 		}
 		for _, o := range n.Operands() {
 			if o.IsNode() && o.Node().Op() != dfg.OpStore {
-				read(RegKey{o.Node().ID(), s.Cluster[n.ID()]}, s.Start[n.ID()])
+				read(o.Node().ID(), s.Cluster[n.ID()], s.Start[n.ID()])
 			}
 		}
 	}
-	ivs := intervals(s)[0]
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+	ivs := intervals(s)
+	var c0 []int // cluster 0's register-holding nodes by write cycle, then ID
+	for _, n := range s.Graph.Nodes() {
+		if s.Cluster[n.ID()] == 0 && n.Op() != dfg.OpStore {
+			c0 = append(c0, n.ID())
 		}
-		return ivs[i].key.Node < ivs[j].key.Node
-	})
-	var victim, overwriter RegKey
+	}
+	sort.SliceStable(c0, func(i, j int) bool { return ivs[c0[i]].start < ivs[c0[j]].start })
+	var victim, overwriter int
 	found := false
-	for i := 0; i < len(ivs) && !found; i++ {
-		for j := i + 1; j < len(ivs); j++ {
-			v, w := ivs[i], ivs[j]
-			if w.start > v.start && lastRead[v.key] >= w.start &&
-				a.Reg[v.key] != a.Reg[w.key] {
-				victim, overwriter, found = v.key, w.key, true
+	for i := 0; i < len(c0) && !found; i++ {
+		for j := i + 1; j < len(c0); j++ {
+			v, w := c0[i], c0[j]
+			if ivs[w].start > ivs[v].start && lastRead[v] >= ivs[w].start &&
+				a.Reg[v] != a.Reg[w] {
+				victim, overwriter, found = v, w, true
 				break
 			}
 		}

@@ -102,27 +102,21 @@ func SpillRebind(g *dfg.Graph, dp *machine.Datapath, binding []int, maxRegs int)
 // pickVictim chooses the value to spill in the given cluster: the regular
 // operation with the longest live interval (spilling it frees a register
 // for the longest stretch). Moves and existing spill code are not
-// re-spilled. Returns the node's name in the original graph ("" if none).
+// re-spilled; ties go to the lowest node ID. Returns the node's name in
+// the original graph ("" if none).
 func pickVictim(s *sched.Schedule, cluster int) string {
 	best, bestSpan := "", 1 // require span > 1: a value dying immediately frees nothing
-	for _, ivs := range intervals(s) {
-		for _, iv := range ivs {
-			if iv.key.Cluster != cluster {
-				continue
-			}
-			n := s.Graph.Node(iv.key.Node)
-			switch n.Op() {
-			case dfg.OpMove, dfg.OpStore, dfg.OpLoad:
-				continue
-			}
-			// Only home-cluster copies map back to original nodes; a
-			// moved copy belongs to the move node, excluded above.
-			if s.Cluster[n.ID()] != cluster {
-				continue
-			}
-			if span := iv.end - iv.start; span > bestSpan {
-				best, bestSpan = n.Name(), span
-			}
+	for id, iv := range intervals(s) {
+		n := s.Graph.Node(id)
+		if s.Cluster[id] != cluster {
+			continue
+		}
+		switch n.Op() {
+		case dfg.OpMove, dfg.OpStore, dfg.OpLoad:
+			continue
+		}
+		if span := iv.end - iv.start; span > bestSpan {
+			best, bestSpan = n.Name(), span
 		}
 	}
 	return best

@@ -1,6 +1,11 @@
 package dfg
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+)
 
 // Builder constructs a Graph incrementally. All node-creating methods panic
 // on structural misuse (duplicate names, invalid operands); kernels and
@@ -10,11 +15,52 @@ type Builder struct {
 	g        *Graph
 	autoName int
 	frozen   bool
+
+	// Nodes and their operand, pred and succ lists are carved from room
+	// that Grow reserves when a caller knows the graph's size; past it,
+	// each is allocated on its own.
+	nodes []Node
+	vals  []Value
+	preds []*Node
+	succs []*Node
+}
+
+// carve returns the next n elements of *room, capped at n so that an
+// append to them never writes into a neighbour's, or a slice of its own
+// when the room is used up.
+func carve[T any](room *[]T, n int) []T {
+	if cap(*room)-len(*room) < n {
+		return make([]T, n)
+	}
+	i := len(*room)
+	*room = (*room)[:i+n]
+	return (*room)[i : i+n : i+n]
 }
 
 // NewBuilder starts a new graph with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{g: &Graph{name: name, byName: make(map[string]*Node)}}
+}
+
+// Grow reserves room for n more nodes, so a caller that knows the
+// graph's size up front builds it without re-growing the node list, the
+// name index or the node storage.
+func (b *Builder) Grow(n int) {
+	b.checkFrozen()
+	if n <= 0 {
+		return
+	}
+	g := b.g
+	g.nodes = slices.Grow(g.nodes, n)
+	byName := make(map[string]*Node, len(g.byName)+n)
+	maps.Copy(byName, g.byName)
+	g.byName = byName
+	// Operand and pred lists hold at most two entries per node; succ
+	// lists start with room for two.
+	b.nodes = make([]Node, 0, n)
+	b.vals = make([]Value, 0, 2*n)
+	b.preds = make([]*Node, 0, 2*n)
+	b.succs = make([]*Node, 0, 2*n)
 }
 
 // Input declares a named external input and returns its Value.
@@ -29,7 +75,7 @@ func (b *Builder) Input(name string) Value {
 func (b *Builder) Inputs(prefix string, n int) []Value {
 	vs := make([]Value, n)
 	for i := range vs {
-		vs[i] = b.Input(fmt.Sprintf("%s%d", prefix, i))
+		vs[i] = b.Input(prefix + strconv.Itoa(i))
 	}
 	return vs
 }
@@ -105,10 +151,10 @@ func (b *Builder) node(name string, op OpType, imm float64, operands ...Value) V
 		panic(fmt.Sprintf("dfg: %s takes %d operands, got %d", op, op.NumOperands(), len(operands)))
 	}
 	if name == "" {
-		name = fmt.Sprintf("n%d", b.autoName)
+		name = "n" + strconv.Itoa(b.autoName)
 		b.autoName++
 		for b.g.byName[name] != nil {
-			name = fmt.Sprintf("n%d", b.autoName)
+			name = "n" + strconv.Itoa(b.autoName)
 			b.autoName++
 		}
 	}
@@ -127,22 +173,37 @@ func (b *Builder) node(name string, op OpType, imm float64, operands ...Value) V
 	if !op.HasImm() {
 		imm = 0
 	}
-	n := &Node{
-		id:       len(b.g.nodes),
-		name:     name,
-		op:       op,
-		imm:      imm,
-		operands: append([]Value(nil), operands...),
+	n := &carve(&b.nodes, 1)[0]
+	*n = Node{
+		id:   len(b.g.nodes),
+		name: name,
+		op:   op,
+		imm:  imm,
+	}
+	if len(operands) > 0 {
+		n.operands = carve(&b.vals, len(operands))
+		copy(n.operands, operands)
 	}
 	// Distinct-predecessor list in first-use order; duplicate operands
-	// (e.g. x+x) contribute one predecessor.
-	seen := make(map[*Node]bool, len(operands))
+	// (e.g. x+x) contribute one predecessor. Operands number at most
+	// two, so a scan of the list so far finds repeats.
+	var distinct [2]*Node
+	np := 0
 	for _, v := range operands {
-		if v.IsNode() && !seen[v.node] {
-			seen[v.node] = true
-			n.preds = append(n.preds, v.node)
-			v.node.succs = append(v.node.succs, n)
+		if v.IsNode() && !slices.Contains(distinct[:np], v.node) {
+			distinct[np] = v.node
+			np++
 		}
+	}
+	if np > 0 {
+		n.preds = carve(&b.preds, np)
+		copy(n.preds, distinct[:np])
+	}
+	for _, p := range n.preds {
+		if cap(p.succs) == 0 {
+			p.succs = carve(&b.succs, 2)[:0]
+		}
+		p.succs = append(p.succs, n)
 	}
 	if op == OpMove {
 		b.g.numMoves++

@@ -462,6 +462,47 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateNamesEachAdjacencyCorruption pins the checks that scan
+// through Validate's generation-stamped marks and its slot-identity
+// membership test: each corruption is refused by its own check.
+func TestValidateNamesEachAdjacencyCorruption(t *testing.T) {
+	foreign := diamond(t).NodeByName("v0")
+	for _, tc := range []struct {
+		name, mention string
+		mut           func(g *Graph)
+	}{
+		{"dup pred", "lists pred \"v1\" twice", func(g *Graph) {
+			n := g.NodeByName("v3")
+			n.preds = append(n.preds, n.preds[0])
+		}},
+		{"dup succ", "lists succ \"v1\" twice", func(g *Graph) {
+			n := g.NodeByName("v0")
+			n.succs = append(n.succs, n.succs[0])
+		}},
+		{"operand missing from preds", "missing from preds", func(g *Graph) {
+			n := g.NodeByName("v3")
+			n.preds = n.preds[:1]
+		}},
+		{"foreign operand", "references foreign node", func(g *Graph) {
+			g.NodeByName("v1").operands[0] = ValueOf(foreign)
+		}},
+		{"foreign succ", "has foreign succ", func(g *Graph) {
+			n := g.NodeByName("v3")
+			n.succs = append(n.succs, foreign)
+		}},
+		{"output missing from list", "absent from output list", func(g *Graph) {
+			g.NodeByName("v1").output = true
+		}},
+	} {
+		g := diamond(t)
+		tc.mut(g)
+		err := Validate(g)
+		if err == nil || !strings.Contains(err.Error(), tc.mention) {
+			t.Errorf("%s: got %v, want mention of %q", tc.name, err, tc.mention)
+		}
+	}
+}
+
 func TestDot(t *testing.T) {
 	g := diamond(t)
 	d := Dot(g, nil)

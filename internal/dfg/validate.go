@@ -18,7 +18,6 @@ func Validate(g *Graph) error {
 	if g == nil {
 		return fmt.Errorf("dfg: nil graph")
 	}
-	inGraph := make(map[*Node]bool, len(g.nodes))
 	for i, n := range g.nodes {
 		if n == nil {
 			return fmt.Errorf("dfg: nil node at index %d", i)
@@ -29,11 +28,14 @@ func Validate(g *Graph) error {
 		if g.byName[n.name] != n {
 			return fmt.Errorf("dfg: node %q not indexed by name", n.name)
 		}
-		inGraph[n] = true
 	}
 	if len(g.byName) != len(g.nodes) {
 		return fmt.Errorf("dfg: name index has %d entries for %d nodes", len(g.byName), len(g.nodes))
 	}
+	// With IDs checked dense, a node belongs to g exactly when g's slot
+	// for its ID holds it, and one mark slice stamped with a fresh
+	// generation per adjacency list finds duplicates.
+	v := validator{g: g, mark: make([]uint32, len(g.nodes))}
 	moves := 0
 	for _, n := range g.nodes {
 		if n.op == OpInvalid || n.op >= numOpTypes {
@@ -42,15 +44,15 @@ func Validate(g *Graph) error {
 		if got, want := len(n.operands), n.op.NumOperands(); got != want {
 			return fmt.Errorf("dfg: node %q (%s) has %d operands, want %d", n.name, n.op, got, want)
 		}
-		for _, v := range n.operands {
+		for _, o := range n.operands {
 			switch {
-			case v.IsInput():
-				if v.input >= len(g.inputs) {
-					return fmt.Errorf("dfg: node %q references undeclared input %d", n.name, v.input)
+			case o.IsInput():
+				if o.input >= len(g.inputs) {
+					return fmt.Errorf("dfg: node %q references undeclared input %d", n.name, o.input)
 				}
-			case v.IsNode():
-				if !inGraph[v.node] {
-					return fmt.Errorf("dfg: node %q references foreign node %q", n.name, v.node.name)
+			case o.IsNode():
+				if !v.inGraph(o.node) {
+					return fmt.Errorf("dfg: node %q references foreign node %q", n.name, o.node.name)
 				}
 			default:
 				return fmt.Errorf("dfg: node %q has a zero operand", n.name)
@@ -58,13 +60,13 @@ func Validate(g *Graph) error {
 		}
 		if n.op == OpMove {
 			moves++
-			if n.xferFor != nil && !inGraph[n.xferFor] {
+			if n.xferFor != nil && !v.inGraph(n.xferFor) {
 				return fmt.Errorf("dfg: move %q transfers for foreign node", n.name)
 			}
 		} else if n.xferFor != nil {
 			return fmt.Errorf("dfg: non-move node %q has TransferFor set", n.name)
 		}
-		if err := checkAdjacency(n, inGraph); err != nil {
+		if err := v.checkAdjacency(n); err != nil {
 			return err
 		}
 	}
@@ -72,25 +74,20 @@ func Validate(g *Graph) error {
 		return fmt.Errorf("dfg: graph records %d moves but contains %d", g.numMoves, moves)
 	}
 	for _, o := range g.outputs {
-		if !inGraph[o] {
+		if !v.inGraph(o) {
 			return fmt.Errorf("dfg: output node %q not in graph", o.name)
 		}
 		if !o.output {
 			return fmt.Errorf("dfg: output list contains unmarked node %q", o.name)
 		}
 	}
+	listed := v.next()
+	for _, o := range g.outputs {
+		v.mark[o.id] = listed
+	}
 	for _, n := range g.nodes {
-		if n.output {
-			found := false
-			for _, o := range g.outputs {
-				if o == n {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("dfg: node %q marked output but absent from output list", n.name)
-			}
+		if n.output && v.mark[n.id] != listed {
+			return fmt.Errorf("dfg: node %q marked output but absent from output list", n.name)
 		}
 	}
 	// TopoOrder panics on cycles; a parsed graph may contain one, so probe
@@ -101,19 +98,37 @@ func Validate(g *Graph) error {
 	return nil
 }
 
-func checkAdjacency(n *Node, inGraph map[*Node]bool) error {
-	seenP := make(map[*Node]bool, len(n.preds))
+// validator is one Validate call's scratch: mark[id] == gen marks node
+// id as seen in the list being scanned under generation gen.
+type validator struct {
+	g    *Graph
+	mark []uint32
+	gen  uint32
+}
+
+func (v *validator) inGraph(n *Node) bool {
+	return n != nil && n.id >= 0 && n.id < len(v.g.nodes) && v.g.nodes[n.id] == n
+}
+
+// next starts a new generation: every mark from earlier lists is stale.
+func (v *validator) next() uint32 {
+	v.gen++
+	return v.gen
+}
+
+func (v *validator) checkAdjacency(n *Node) error {
+	seenP := v.next()
 	for _, p := range n.preds {
-		if !inGraph[p] {
+		if !v.inGraph(p) {
 			return fmt.Errorf("dfg: node %q has foreign pred %q", n.name, p.name)
 		}
-		if seenP[p] {
+		if v.mark[p.id] == seenP {
 			return fmt.Errorf("dfg: node %q lists pred %q twice", n.name, p.name)
 		}
-		seenP[p] = true
+		v.mark[p.id] = seenP
 		found := false
-		for _, v := range n.operands {
-			if v.node == p {
+		for _, o := range n.operands {
+			if o.node == p {
 				found = true
 				break
 			}
@@ -132,20 +147,20 @@ func checkAdjacency(n *Node, inGraph map[*Node]bool) error {
 			return fmt.Errorf("dfg: pred %q does not list %q as succ", p.name, n.name)
 		}
 	}
-	for _, v := range n.operands {
-		if v.IsNode() && !seenP[v.node] {
-			return fmt.Errorf("dfg: operand %q of node %q missing from preds", v.node.name, n.name)
+	for _, o := range n.operands {
+		if o.IsNode() && v.mark[o.node.id] != seenP {
+			return fmt.Errorf("dfg: operand %q of node %q missing from preds", o.node.name, n.name)
 		}
 	}
-	seenS := make(map[*Node]bool, len(n.succs))
+	seenS := v.next()
 	for _, s := range n.succs {
-		if !inGraph[s] {
+		if !v.inGraph(s) {
 			return fmt.Errorf("dfg: node %q has foreign succ %q", n.name, s.name)
 		}
-		if seenS[s] {
+		if v.mark[s.id] == seenS {
 			return fmt.Errorf("dfg: node %q lists succ %q twice", n.name, s.name)
 		}
-		seenS[s] = true
+		v.mark[s.id] = seenS
 	}
 	return nil
 }

@@ -157,7 +157,9 @@ type Event struct {
 	Op      string        `json:"op,omitempty"`
 	Choices []ClusterCost `json:"choices,omitempty"`
 
-	// Tasks, QueueNs and ExecNs aggregate one worker-pool batch.
+	// Tasks, QueueNs and ExecNs aggregate one worker-pool batch;
+	// QueueNs sums each worker's dispatch delay, from batch start to
+	// its first task.
 	Tasks   int   `json:"tasks,omitempty"`
 	QueueNs int64 `json:"queue_ns,omitempty"`
 	ExecNs  int64 `json:"exec_ns,omitempty"`

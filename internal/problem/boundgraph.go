@@ -2,6 +2,8 @@ package problem
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"vliwbind/internal/dfg"
 )
@@ -26,50 +28,69 @@ func BuildBound(g *dfg.Graph, binding []int) (*dfg.Graph, []int, error) {
 	if g.NumMoves() != 0 {
 		return nil, nil, fmt.Errorf("problem: BuildBound expects an original graph; %q already has moves", g.Name())
 	}
+	// One move per producer and foreign cluster among its consumers'.
+	moves := 0
+	for _, u := range g.Nodes() {
+		succs := u.Succs()
+		for i, s := range succs {
+			c := binding[s.ID()]
+			if c != binding[u.ID()] && !slices.ContainsFunc(succs[:i], func(p *dfg.Node) bool { return binding[p.ID()] == c }) {
+				moves++
+			}
+		}
+	}
 	b := dfg.NewBuilder(g.Name())
+	b.Grow(g.NumNodes() + moves)
 	inputs := make([]dfg.Value, g.NumInputs())
 	for i := range inputs {
 		inputs[i] = b.Input(g.InputName(i))
 	}
 	// mapped[id] is the bound-graph value of original node id in its home
-	// cluster; moved[(id,c)] the value after transfer into cluster c.
+	// cluster. Its transfer into cluster c, once made, is the move among
+	// that value's consumers bound to c: a value has few consumers, so a
+	// scan of them replaces a (producer, cluster) table.
 	mapped := make([]dfg.Value, g.NumNodes())
-	type mvKey struct{ id, cluster int }
-	moved := make(map[mvKey]dfg.Value)
-	var boundBinding []int
+	movedTo := func(u dfg.Value, c int, boundBinding []int) (dfg.Value, bool) {
+		for _, s := range u.Node().Succs() {
+			if s.IsMove() && boundBinding[s.ID()] == c {
+				return dfg.ValueOf(s), true
+			}
+		}
+		return dfg.Value{}, false
+	}
+	boundBinding := make([]int, 0, g.NumNodes()+moves)
+	var operands [2]dfg.Value // no operation takes more
 	nMoves := 0
 
 	for _, n := range dfg.TopoOrder(g) {
 		c := binding[n.ID()]
-		operands := make([]dfg.Value, len(n.Operands()))
+		ops := operands[:len(n.Operands())]
 		for i, o := range n.Operands() {
 			if o.IsInput() {
 				// Block inputs are assumed available where needed at
 				// entry; binding only manages values produced inside
 				// the block (paper, Section 2).
-				operands[i] = inputs[o.Input()]
+				ops[i] = inputs[o.Input()]
 				continue
 			}
 			u := o.Node()
 			if binding[u.ID()] == c {
-				operands[i] = mapped[u.ID()]
+				ops[i] = mapped[u.ID()]
 				continue
 			}
-			key := mvKey{u.ID(), c}
-			mv, ok := moved[key]
+			mv, ok := movedTo(mapped[u.ID()], c, boundBinding)
 			if !ok {
 				nMoves++
-				name := fmt.Sprintf("t%d", nMoves)
+				name := "t" + strconv.Itoa(nMoves)
 				for b.HasNode(name) || g.NodeByName(name) != nil {
 					name += "'"
 				}
 				mv = b.NamedMove(name, mapped[u.ID()])
-				moved[key] = mv
 				boundBinding = append(boundBinding, c)
 			}
-			operands[i] = mv
+			ops[i] = mv
 		}
-		v := b.Named(n.Name(), n.Op(), n.Imm(), operands...)
+		v := b.Named(n.Name(), n.Op(), n.Imm(), ops...)
 		mapped[n.ID()] = v
 		boundBinding = append(boundBinding, c)
 	}

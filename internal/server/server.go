@@ -89,7 +89,8 @@ type Config struct {
 	RequestRetries int
 	// Store is the shared cross-request result tier: repeated
 	// (isomorphic) requests are served from audited hits. Nil defaults
-	// to an in-memory store. Drain compacts and flushes its journal.
+	// to an in-memory store. Drain compacts and flushes its journal, if
+	// it has one.
 	Store *vliwbind.ResultStore
 	// BindOptions is the base engine configuration applied to every
 	// request; per-request fields (Stats, Store, Observer) are overlaid
@@ -241,15 +242,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// Workers is the number of concurrent binds the server runs, after
+// Config.Workers' zero default resolved to GOMAXPROCS.
+func (s *Server) Workers() int { return s.cfg.Workers }
+
 // Draining reports whether Drain has begun (admission is closed).
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain closes admission, waits for in-flight requests — giving them
 // half the drain deadline to finish at full quality, then cancelling
 // them onto the audited anytime path for the rest — and finally
-// compacts and flushes the store journal. It returns an error only if
-// in-flight work outlived the whole drain deadline or the journal
-// could not be rewritten; either way admission stays closed.
+// compacts and flushes the store journal, if the store has one. It
+// returns an error only if in-flight work outlived the whole drain
+// deadline or the journal could not be rewritten; either way admission
+// stays closed.
 func (s *Server) Drain() error {
 	s.admitMu.Lock()
 	first := !s.draining.Load()
@@ -279,12 +285,15 @@ func (s *Server) Drain() error {
 		}
 	}
 	s.baseCancel(errDraining) // release the watcher either way
-	if cs, err := s.cfg.Store.Compact(); err != nil {
-		if drainErr == nil {
-			drainErr = fmt.Errorf("server: drain-time store compaction: %w", err)
+	// A memory-only store has no journal to compact: say nothing of one.
+	if s.cfg.Store.Journaled() {
+		if cs, err := s.cfg.Store.Compact(); err != nil {
+			if drainErr == nil {
+				drainErr = fmt.Errorf("server: drain-time store compaction: %w", err)
+			}
+		} else {
+			s.cfg.Logf("drain: store journal compacted to %d live entrie(s), %d dropped", cs.Live, cs.Dropped)
 		}
-	} else {
-		s.cfg.Logf("drain: store journal compacted to %d live entrie(s), %d dropped", cs.Live, cs.Dropped)
 	}
 	if drainErr == nil {
 		s.cfg.Logf("drain: complete")

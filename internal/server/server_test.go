@@ -8,12 +8,14 @@ package server
 
 import (
 	"encoding/json"
-
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -469,5 +471,59 @@ func TestEWMAConverges(t *testing.T) {
 	}
 	if got := s.ewma(); got > 12*time.Millisecond || got < 9*time.Millisecond {
 		t.Fatalf("ewma after 40 10ms observations = %v, want ~10ms", got)
+	}
+}
+
+// TestDrainLogsCompactionOnlyWithAJournal: a memory-only store has no
+// journal, so its drain reports no compaction; a journal-backed store's
+// drain reports its compacted size.
+func TestDrainLogsCompactionOnlyWithAJournal(t *testing.T) {
+	leakcheck.Check(t)
+	journaled, err := vliwbind.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journaled.Close()
+	for _, tc := range []struct {
+		name  string
+		store *vliwbind.ResultStore
+		want  bool
+	}{
+		{"memory", vliwbind.NewMemoryStore(0), false},
+		{"journal", journaled, true},
+	} {
+		var mu sync.Mutex
+		var lines []string
+		s := newTestServer(t, Config{Store: tc.store, Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}})
+		if rec, resp := postBind(t, s, arfJob); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %+v", tc.name, rec.Code, resp)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatalf("%s: Drain: %v", tc.name, err)
+		}
+		mu.Lock()
+		logged := strings.Join(lines, "\n")
+		mu.Unlock()
+		if got := strings.Contains(logged, "store journal compacted to 1 live entrie(s)"); got != tc.want {
+			t.Errorf("%s store: compaction logged %v, want %v:\n%s", tc.name, got, tc.want, logged)
+		}
+		if !strings.Contains(logged, "drain: complete") {
+			t.Errorf("%s store: drain never logged completion:\n%s", tc.name, logged)
+		}
+	}
+}
+
+// TestWorkersResolvesDefault: Workers reports the resolved pool size,
+// GOMAXPROCS for a zero Config.Workers.
+func TestWorkersResolvesDefault(t *testing.T) {
+	if got, want := newTestServer(t, Config{}).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Workers() = %d with Config.Workers 0, want GOMAXPROCS %d", got, want)
+	}
+	if got := newTestServer(t, Config{Workers: 3}).Workers(); got != 3 {
+		t.Errorf("Workers() = %d, want 3", got)
 	}
 }

@@ -253,6 +253,17 @@ func (s *Store) Valid() error {
 	return nil
 }
 
+// Journaled reports whether the store appends to an open journal: true
+// for a store from Open until Close, false for a memory-only store.
+func (s *Store) Journaled() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.journal != nil
+}
+
 // OpenStats returns what journal replay found; zero for memory stores.
 func (s *Store) OpenStats() OpenStats {
 	if s == nil {

@@ -14,8 +14,9 @@
 package vliwsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vliwbind/internal/dfg"
 	"vliwbind/internal/sched"
@@ -53,60 +54,73 @@ func (t *Trace) At(cycle int) []Event {
 // the paper's block-level abstraction; every internal value must reach a
 // consuming cluster through execution or an explicit move.
 func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
+	trace := &Trace{Events: make([]Event, 0, s.Graph.NumNodes())}
+	outs, err := run(s, inputs, trace)
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs, trace, nil
+}
+
+// Outputs is Execute for a caller that only compares outputs: the same
+// execution and checks, with no trace built.
+func Outputs(s *sched.Schedule, inputs []float64) ([]float64, error) {
+	return run(s, inputs, nil)
+}
+
+// run executes the schedule, appending one event per issue to trace
+// unless it is nil.
+func run(s *sched.Schedule, inputs []float64, trace *Trace) ([]float64, error) {
 	g, dp := s.Graph, s.Datapath
 	if len(inputs) != g.NumInputs() {
-		return nil, nil, fmt.Errorf("vliwsim: graph has %d inputs, got %d", g.NumInputs(), len(inputs))
+		return nil, fmt.Errorf("vliwsim: graph has %d inputs, got %d", g.NumInputs(), len(inputs))
 	}
 
-	// availAt[c][id] is the cycle the value of node id becomes readable
+	// availAt[c*nn+id] is the cycle the value of node id becomes readable
 	// in cluster c; -1 when it never does.
-	nc := dp.NumClusters()
-	availAt := make([][]int, nc)
-	for c := range availAt {
-		availAt[c] = make([]int, g.NumNodes())
-		for i := range availAt[c] {
-			availAt[c][i] = -1
-		}
+	nc, nn := dp.NumClusters(), g.NumNodes()
+	availAt := make([]int, nc*nn)
+	for i := range availAt {
+		availAt[i] = -1
 	}
-	vals := make([]float64, g.NumNodes())
+	vals := make([]float64, nn)
 
-	// Issue in time order; ties in dependence (ID) order so producers
-	// precede same-cycle consumers in the loop (legal only for lat >= 1,
-	// which machine enforces).
-	order := append([]*dfg.Node(nil), g.Nodes()...)
-	sort.SliceStable(order, func(i, j int) bool {
-		si, sj := s.Start[order[i].ID()], s.Start[order[j].ID()]
-		if si != sj {
-			return si < sj
-		}
-		return order[i].ID() < order[j].ID()
-	})
+	order, err := issueOrder(s)
+	if err != nil {
+		return nil, err
+	}
 
 	// Functional units are booked in issue order, so one busy-until
-	// cycle (exclusive) per unit suffices.
-	type unitKey struct {
-		cluster int
-		fu      dfg.FUType
-		unit    int
+	// cycle (exclusive) per unit suffices; busyUntil[unitBase[c, fu] +
+	// unit] lays every cluster's units out flat.
+	unitBase := make([]int, nc*dfg.NumFUTypes)
+	units := 0
+	for c := 0; c < nc; c++ {
+		for t := 1; t < dfg.NumFUTypes; t++ {
+			if ft := dfg.FUType(t); ft != dfg.FUBus {
+				unitBase[c*dfg.NumFUTypes+t] = units
+				units += dp.NumFU(c, ft)
+			}
+		}
 	}
-	busyUntil := make(map[unitKey]int)
+	busyUntil := make([]int, units)
 	// Interconnect channels are booked per cycle instead: a move books
 	// its later hops ahead of the issue order, and a hop of another move
 	// may still legally fit in front of them. chanHeld[ch][t] is the
-	// move hop holding channel ch in cycle t.
+	// move hop holding channel ch in cycle t; a row is sized for the
+	// whole schedule on first use.
 	type hold struct {
 		move *dfg.Node
 		hop  int
 	}
 	chanHeld := make([][]hold, dp.NumBuses())
 
-	trace := &Trace{}
 	readArg := func(n *dfg.Node, v dfg.Value, c, cycle int) (float64, error) {
 		if v.IsInput() {
 			return inputs[v.Input()], nil
 		}
 		u := v.Node()
-		at := availAt[c][u.ID()]
+		at := availAt[c*nn+u.ID()]
 		if at < 0 {
 			return 0, fmt.Errorf("vliwsim: %s issues in cluster %d but operand %s never arrives there",
 				n.Name(), c, u.Name())
@@ -118,22 +132,21 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 		return vals[u.ID()], nil
 	}
 
+	cycles := 0
+	var args [2]float64 // no operation takes more operands
 	for _, n := range order {
 		cycle := s.Start[n.ID()]
-		if cycle < 0 {
-			return nil, nil, fmt.Errorf("vliwsim: node %s was never scheduled", n.Name())
-		}
 		lat := dp.Latency(n.Op())
 		if n.IsMove() {
 			src := n.TransferFor()
 			if src == nil {
-				return nil, nil, fmt.Errorf("vliwsim: move %s has no producer metadata", n.Name())
+				return nil, fmt.Errorf("vliwsim: move %s has no producer metadata", n.Name())
 			}
 			from := s.Cluster[src.ID()]
 			dest := s.Cluster[n.ID()]
 			x, err := readArg(n, n.Operands()[0], from, cycle)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			// Re-derive the route from the clusters alone — independent of
 			// what the scheduler recorded — and walk it hop by hop: each
@@ -148,61 +161,67 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 			}
 			if route != nil {
 				if len(chans) != len(route) {
-					return nil, nil, fmt.Errorf("vliwsim: move %s records %d hop channels for a %d-hop c%d→c%d route",
+					return nil, fmt.Errorf("vliwsim: move %s records %d hop channels for a %d-hop c%d→c%d route",
 						n.Name(), len(chans), len(route), from, dest)
 				}
 				lat = len(route) * dp.MoveLat()
 			}
 			for h, ch := range chans {
 				if route != nil && dp.LinkOfChannel(ch) != route[h] {
-					return nil, nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which is not on link %s",
+					return nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which is not on link %s",
 						n.Name(), h, ch, dp.LinkName(route[h]))
 				}
 				if ch < 0 || ch >= len(chanHeld) {
-					return nil, nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which does not exist", n.Name(), h, ch)
+					return nil, fmt.Errorf("vliwsim: move %s hop %d on channel %d, which does not exist", n.Name(), h, ch)
 				}
 				at := cycle + h*dp.MoveLat()
+				if need := at + dp.MoveDII(); len(chanHeld[ch]) < need {
+					chanHeld[ch] = append(chanHeld[ch], make([]hold, max(need, s.L+dp.MoveDII())-len(chanHeld[ch]))...)
+				}
 				for t := at; t < at+dp.MoveDII(); t++ {
-					for len(chanHeld[ch]) <= t {
-						chanHeld[ch] = append(chanHeld[ch], hold{})
-					}
 					if prev := chanHeld[ch][t]; prev.move != nil {
-						return nil, nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d: move %s hop %d collides with move %s hop %d",
+						return nil, fmt.Errorf("vliwsim: channel %d busy at cycle %d: move %s hop %d collides with move %s hop %d",
 							ch, t, n.Name(), h, prev.move.Name(), prev.hop)
 					}
 					chanHeld[ch][t] = hold{n, h}
 				}
 			}
 			vals[n.ID()] = x
-			availAt[dest][n.ID()] = cycle + lat
+			availAt[dest*nn+n.ID()] = cycle + lat
 			// The transported producer value itself also becomes usable
 			// in the destination cluster: consumers reference the move
 			// node, but availability of the underlying datum is what the
 			// register file holds.
-			if availAt[dest][src.ID()] < 0 || availAt[dest][src.ID()] > cycle+lat {
-				availAt[dest][src.ID()] = cycle + lat
+			if at := availAt[dest*nn+src.ID()]; at < 0 || at > cycle+lat {
+				availAt[dest*nn+src.ID()] = cycle + lat
 			}
-			trace.Events = append(trace.Events, Event{cycle, dest, s.Unit[n.ID()], n, x})
+			if trace != nil {
+				trace.Events = append(trace.Events, Event{cycle, dest, s.Unit[n.ID()], n, x})
+			}
 		} else {
 			c := s.Cluster[n.ID()]
 			if !dp.Supports(c, n.Op()) {
-				return nil, nil, fmt.Errorf("vliwsim: %s (%s) issued in cluster %d with no %s unit",
+				return nil, fmt.Errorf("vliwsim: %s (%s) issued in cluster %d with no %s unit",
 					n.Name(), n.Op(), c, n.FUType())
 			}
-			args := make([]float64, len(n.Operands()))
 			for i, v := range n.Operands() {
 				x, err := readArg(n, v, c, cycle)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				args[i] = x
 			}
-			key := unitKey{c, n.FUType(), s.Unit[n.ID()]}
-			if busyUntil[key] > cycle {
-				return nil, nil, fmt.Errorf("vliwsim: cluster %d %s unit %d busy at cycle %d (%s)",
-					c, n.FUType(), s.Unit[n.ID()], cycle, n.Name())
+			u := s.Unit[n.ID()]
+			if pool := dp.NumFU(c, n.FUType()); u < 0 || u >= pool {
+				return nil, fmt.Errorf("vliwsim: %s issued on cluster %d %s unit %d, which does not exist (pool size %d)",
+					n.Name(), c, n.FUType(), u, pool)
 			}
-			busyUntil[key] = cycle + dp.DII(n.Op())
+			row := unitBase[c*dfg.NumFUTypes+int(n.FUType())] + u
+			if busyUntil[row] > cycle {
+				return nil, fmt.Errorf("vliwsim: cluster %d %s unit %d busy at cycle %d (%s)",
+					c, n.FUType(), u, cycle, n.Name())
+			}
+			busyUntil[row] = cycle + dp.DII(n.Op())
 			var y float64
 			switch n.Op() {
 			case dfg.OpAdd:
@@ -220,32 +239,76 @@ func Execute(s *sched.Schedule, inputs []float64) ([]float64, *Trace, error) {
 				// datum passes through unchanged.
 				y = args[0]
 			default:
-				return nil, nil, fmt.Errorf("vliwsim: unexecutable op %s", n.Op())
+				return nil, fmt.Errorf("vliwsim: unexecutable op %s", n.Op())
 			}
 			vals[n.ID()] = y
-			availAt[c][n.ID()] = cycle + lat
-			trace.Events = append(trace.Events, Event{cycle, c, s.Unit[n.ID()], n, y})
+			availAt[c*nn+n.ID()] = cycle + lat
+			if trace != nil {
+				trace.Events = append(trace.Events, Event{cycle, c, u, n, y})
+			}
 		}
-		if end := cycle + lat; end > trace.Cycles {
-			trace.Cycles = end
-		}
+		cycles = max(cycles, cycle+lat)
 	}
-	if trace.Cycles != s.L {
-		return nil, nil, fmt.Errorf("vliwsim: executed length %d disagrees with schedule L=%d", trace.Cycles, s.L)
+	if trace != nil {
+		trace.Cycles = cycles
+	}
+	if cycles != s.L {
+		return nil, fmt.Errorf("vliwsim: executed length %d disagrees with schedule L=%d", cycles, s.L)
 	}
 
 	outs := make([]float64, len(g.Outputs()))
 	for i, n := range g.Outputs() {
 		outs[i] = vals[n.ID()]
 	}
-	return outs, trace, nil
+	return outs, nil
+}
+
+// issueOrder lists the nodes in time order, ties in dependence (ID)
+// order so producers precede same-cycle consumers in the loop (legal
+// only for lat >= 1, which machine enforces). Start cycles in [0, L]
+// are bucketed; a node with a negative start was never scheduled, and
+// starts past L (a schedule that cannot be legal) fall back to a sort.
+func issueOrder(s *sched.Schedule) ([]*dfg.Node, error) {
+	nodes := s.Graph.Nodes()
+	lo, hi := 0, 0
+	for _, n := range nodes {
+		lo, hi = min(lo, s.Start[n.ID()]), max(hi, s.Start[n.ID()])
+	}
+	if lo < 0 {
+		for _, n := range nodes {
+			if s.Start[n.ID()] == lo {
+				return nil, fmt.Errorf("vliwsim: node %s was never scheduled", n.Name())
+			}
+		}
+	}
+	order := make([]*dfg.Node, len(nodes))
+	if hi > s.L {
+		copy(order, nodes)
+		slices.SortStableFunc(order, func(x, y *dfg.Node) int {
+			return cmp.Compare(s.Start[x.ID()], s.Start[y.ID()])
+		})
+		return order, nil
+	}
+	at := make([]int, hi+2)
+	for _, n := range nodes {
+		at[s.Start[n.ID()]+1]++
+	}
+	for t := 1; t < len(at); t++ {
+		at[t] += at[t-1]
+	}
+	for _, n := range nodes {
+		st := s.Start[n.ID()]
+		order[at[st]] = n
+		at[st]++
+	}
+	return order, nil
 }
 
 // Verify executes the schedule on the given inputs and checks the outputs
 // against the reference dataflow evaluation of the graph, returning a
 // descriptive error on any divergence.
 func Verify(s *sched.Schedule, inputs []float64) error {
-	got, _, err := Execute(s, inputs)
+	got, err := Outputs(s, inputs)
 	if err != nil {
 		return err
 	}
